@@ -1,8 +1,9 @@
 """Exact rewiring decisions under an edit budget, with exact rational thresholds.
 
 The decision solvers enumerate every edit set up to the budget and test the
-objective exactly: enumerated conductance, or a Sturm-sequence eigenvalue
-comparison that floating point cannot get wrong even at the boundary.
+objective exactly: enumerated conductance, or an integer inertia count for the
+eigenvalue comparison, which floating point cannot get wrong even at the
+boundary.
 """
 
 from fractions import Fraction
@@ -30,8 +31,8 @@ d = decide_groc(GrocInstance(c4, 2, Fraction(1)))
 print(f"C4, K=2, phi0=1: answer={d.answer}, best achievable phi = {d.value_achieved:.4f}")
 
 # The spectral problem: mu2 of the C4 propagation matrix is exactly 1/3.
-# A threshold of exactly 1/3 is a yes; a hair below is a no.  The Sturm
-# decision resolves both without ever computing the eigenvalue numerically.
+# A threshold of exactly 1/3 is a yes; a hair below is a no.  The exact
+# inertia count resolves both without ever computing the eigenvalue numerically.
 print("mu2(C4) <= 1/3:        ", exact_mu2_leq(c4, Fraction(1, 3)))
 print("mu2(C4) <= 33333/100000:", exact_mu2_leq(c4, Fraction(33333, 100000)))
 

@@ -157,6 +157,11 @@ def _emit(text: str, output: str) -> None:
             fh.write(text)
 
 
+def _exact_limit_n(args, default: int) -> int:
+    """--exact-limit-n if given (0 included), else the command's own default."""
+    return default if args.exact_limit_n is None else args.exact_limit_n
+
+
 def _read_graph(path: str) -> Graph:
     with open(path) as fh:
         return parse_graph(fh.read())
@@ -214,7 +219,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _read_graph(args.graph_file)
-    limit = args.exact_limit_n or EXACT_CONDUCTANCE_LIMIT
+    limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
     report = _metrics(g, limit)
     _emit(_format_analyze(report, args.format), args.output)
     return EXIT_YES
@@ -227,7 +232,7 @@ def _cmd_decide(args) -> int:
     if args.exact_limit_k is not None:
         cap_kwargs["max_candidates"] = args.exact_limit_k
     if args.problem == "groc":
-        limit = args.exact_limit_n or EXACT_CONDUCTANCE_LIMIT
+        limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
         decision = decide_groc(GrocInstance(g, args.budget, threshold), exact_limit=limit, **cap_kwargs)
         objective = "conductance"
     else:
@@ -242,7 +247,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_rewire(args) -> int:
     g = _read_graph(args.graph_file)
-    limit = args.exact_limit_n or EXACT_CONDUCTANCE_LIMIT
+    limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
     if args.heuristic == "greedy":
         edits, trace = greedy_rewire(g, args.budget, objective=args.objective, exact_limit=limit)
     elif args.heuristic == "sdrf":
@@ -276,7 +281,7 @@ def _cmd_reduce(args) -> int:
         c2=Fraction(args.c2),
         c3=Fraction(args.c3),
     )
-    limit = args.exact_limit_n or EXACT_BISECTION_LIMIT
+    limit = _exact_limit_n(args, EXACT_BISECTION_LIMIT)
     if args.problem == "groc":
         if not args.allow_unscaled:
             inst = scale_instance_between(inst, exact_limit=limit)
@@ -288,7 +293,7 @@ def _cmd_reduce(args) -> int:
             inst, consts, args.pad_floor, args.seed, args.max_retries,
             require_scaled=not args.allow_unscaled,
         )
-    verify_limit = args.exact_limit_n or VERIFY_H_LIMIT
+    verify_limit = _exact_limit_n(args, VERIFY_H_LIMIT)
     if inst.h.n <= verify_limit:
         cert = verify_reduction(inst, cert, h_limit=verify_limit)
     graph_path = f"{args.out_prefix}.graph.txt"
@@ -324,7 +329,7 @@ def _cmd_verify(args) -> int:
     recorded = json.loads(recorded_text)
     if "kind" not in recorded or "instance" not in recorded:
         raise MalformedHeader("not a reduction certificate: missing 'kind'/'instance'")
-    rebuilt = rebuild_certificate(recorded)
+    rebuilt = rebuild_certificate(recorded, h_limit=_exact_limit_n(args, VERIFY_H_LIMIT))
     rebuilt_json = certificate_to_json(rebuilt)
     diffs = _diff_json(recorded, rebuilt_json)
     if diffs:

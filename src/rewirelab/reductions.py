@@ -135,7 +135,7 @@ class ReductionCertificate:
     bisection_witness: tuple[int, ...] | None = None
     graph_value: float | None = None
     graph_phi: Fraction | None = None  # exact conductance (groc only)
-    mu2_leq_tau: bool | None = None  # exact Sturm decision (gros only)
+    mu2_leq_tau: bool | None = None  # exact mu2 <= tau decision (gros only)
     forward_check: dict | None = None
     reverse_check: dict | None = None
     agreement: bool | None = None
@@ -716,10 +716,6 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return _frac_str(value)
@@ -778,16 +774,19 @@ def certificate_json_text(cert: ReductionCertificate) -> str:
     return json.dumps(certificate_to_json(cert), sort_keys=True, indent=2) + "\n"
 
 
-def rebuild_certificate(cert_json: dict) -> ReductionCertificate:
-    """Reconstruct and re-verify a certificate from its recorded inputs."""
+def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> ReductionCertificate:
+    """Reconstruct and re-verify a certificate from its recorded inputs.
+
+    `h_limit` caps the instance size of the re-verification, as in `verify_reduction`.
+    """
     inst = BisectionInstance(
         h=parse_graph(cert_json["instance"]["graph"]), b=int(cert_json["instance"]["budget"])
     )
     raw_consts = cert_json["constants"]
     consts = ReductionConstants(
-        c1=parse_fraction(raw_consts["c1"]),
-        c2=parse_fraction(raw_consts["c2"]),
-        c3=parse_fraction(raw_consts["c3"]),
+        c1=Fraction(raw_consts["c1"]),
+        c2=Fraction(raw_consts["c2"]),
+        c3=Fraction(raw_consts["c3"]),
     )
     seed = int(cert_json["seed"])
     floor = float(cert_json["pad_expander_floor"])
@@ -796,4 +795,4 @@ def rebuild_certificate(cert_json: dict) -> ReductionCertificate:
         _, skeleton = reduce_to_groc(inst, consts, floor, seed, retries)
     else:
         _, skeleton = reduce_to_gros(inst, consts, floor, seed, retries, require_scaled=False)
-    return verify_reduction(inst, skeleton)
+    return verify_reduction(inst, skeleton, h_limit=h_limit)

@@ -2,8 +2,8 @@
 
 The decision solvers enumerate edge toggles (the symmetric-difference metric
 treats each vertex pair as a binary toggle) and evaluate the objective exactly:
-enumerated conductance for the conductance problem, Sturm-sequence threshold
-tests for the spectral problem.  The heuristics are the practical alternative:
+enumerated conductance for the conductance problem, exact inertia-count
+threshold tests for the spectral problem.  The heuristics are the practical alternative:
 greedy single-toggle ascent, curvature/resistance rewiring, and personalized
 PageRank densification.
 """
@@ -150,8 +150,8 @@ def decide_gros(
 ) -> Decision:
     """Exhaustive solve of the spectral rewiring decision.
 
-    The per-candidate threshold test is the exact Sturm decision, never
-    floating point; value_achieved is the best floating-point mu2 seen and is
+    The per-candidate threshold test is `exact_mu2_leq`, an exact integer
+    inertia count, never floating point; value_achieved is the best floating-point mu2 seen and is
     informational only.
     """
     g = inst.graph

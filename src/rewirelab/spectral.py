@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DimensionMismatch, IsolatedVertex
 from .graph import DENSE_LIMIT, Graph, matrix_of
-from .sturm import EXACT_EIGEN_LIMIT, exact_mu2_leq  # re-exported: the exact decision lives with the spectra
 
 __all__ = [
     "SpectralSummary",
@@ -26,8 +25,6 @@ __all__ = [
     "dirichlet_energy",
     "decay_report",
     "decay_report_csv",
-    "exact_mu2_leq",
-    "EXACT_EIGEN_LIMIT",
 ]
 
 

@@ -1,12 +1,19 @@
-"""Exact eigenvalue threshold decisions via integer characteristic polynomials.
+"""Exact eigenvalue threshold decisions by integer inertia counts.
 
 The augmented random-walk matrix (D+I)^{-1}(A+I) is cospectral with the
-symmetric propagation matrix, and det(x(D+I) - (A+I)) is an integer polynomial
-with the same roots (including multiplicities).  We compute that polynomial by
-fraction-free Bareiss determinants at integer points plus Newton interpolation,
-then count roots against a rational threshold with Sturm chains.  Root counts
-are multiplicity-aware: a Sturm chain counts distinct roots, so we iterate down
-the gcd(p, p') chain and sum the per-level counts.
+symmetric propagation matrix P = (D+I)^{-1/2}(A+I)(D+I)^{-1/2}.  D+I is positive
+definite, so for tau = p/q (q > 0) the integer symmetric matrix q(A+I) - p(D+I)
+is congruent to q*P - p*I, and by Sylvester's law of inertia its number of
+positive eigenvalues is the number of eigenvalues of P above tau.  One
+fraction-free symmetric elimination (Bareiss) counts them: `exact_mu2_leq`
+decides mu2 <= tau that way, in Python integers only.
+
+The characteristic-polynomial path is kept as an independent oracle:
+det(x(D+I) - (A+I)) is an integer polynomial with the same roots (including
+multiplicities), computed by Bareiss determinants at integer points plus Newton
+interpolation, and `count_roots_above` / `count_roots_below` count its roots
+against a rational threshold with multiplicity-aware Sturm chains (a Sturm
+chain counts distinct roots, so they iterate down the gcd(p, p') chain).
 
 Everything here is big-integer / Fraction arithmetic; no floating point.
 """
@@ -283,7 +290,74 @@ def propagation_charpoly(g: Graph) -> list[int]:
     return interpolate_integer_poly(xs, ys)
 
 
-# -- the public decision --------------------------------------------------------
+# -- inertia counts and the public decision --------------------------------------
+
+
+def _pencil_upper(g: Graph, a: int, b: int) -> list[list[int]]:
+    """Upper triangle of a(A+I) - b(D+I): row i holds the entries from column i on."""
+    n = g.n
+    rows = []
+    for i in range(n):
+        row = [0] * (n - i)
+        row[0] = a - b * (g.degrees[i] + 1)
+        for j in g.neighbors[i]:
+            if j > i:
+                row[j - i] = a
+        rows.append(row)
+    return rows
+
+
+def _positive_inertia(upper: list[list[int]], stop: int) -> int:
+    """Positive eigenvalues of a symmetric integer matrix, counted up to `stop`.
+
+    `upper[i][j - i]` holds entry (i, j) for j >= i.  Fraction-free symmetric
+    elimination on a nonzero diagonal pivot keeps every entry an integer minor
+    of a congruent matrix, so each division by the previous pivot is exact.
+    When the whole remaining diagonal is zero, the congruence row_i += row_j,
+    col_i += col_j on a nonzero a_ij makes the diagonal entry 2*a_ij.  An
+    all-zero remaining block adds only zero eigenvalues.  The eliminated
+    pivots split off as a diagonal block (Haynsworth inertia additivity), so
+    the count of positive pivots is a lower bound at every step: it may stop
+    at `stop`.
+    """
+    count = 0
+    prev = 1
+    while upper:
+        k = next((i for i, row in enumerate(upper) if row[0]), None)
+        if k is None:
+            m = len(upper)
+            full = [[upper[min(i, j)][abs(j - i)] for j in range(m)] for i in range(m)]
+            pair = next(((i, j) for i, row in enumerate(full) for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            i, j = pair
+            full[i] = [x + y for x, y in zip(full[i], full[j])]
+            for row in full:
+                row[i] += row[j]
+            upper = [row[r:] for r, row in enumerate(full)]
+            k = i
+        pivot = upper[k][0]
+        if (pivot > 0) == (prev > 0):  # the LDL^T pivot pivot/prev is positive
+            count += 1
+            if count >= stop:
+                return count
+        col = [upper[i][k - i] for i in range(k)] + upper[k]  # column k, full length
+        del col[k]  # now indexed like the reduced block
+        reduced = []
+        for i, row in enumerate(upper):
+            if i == k:
+                continue
+            if i < k:
+                row = row[: k - i] + row[k - i + 1 :]
+            r = len(reduced)
+            ci = col[r]
+            if ci:
+                reduced.append([(x * pivot - ci * y) // prev for x, y in zip(row, col[r:])])
+            else:
+                reduced.append([x * pivot // prev for x in row])
+        upper = reduced
+        prev = pivot
+    return count
 
 
 def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_EIGEN_LIMIT) -> bool:
@@ -291,7 +365,9 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
 
     `mode="signed"` compares the second-largest eigenvalue; `mode="absolute"`
     the second-largest absolute eigenvalue.  For a single-vertex graph mu2 is
-    undefined and the decision is vacuously true.
+    undefined and the decision is vacuously true.  With tau = p/q, the
+    eigenvalues above tau are the positive inertia of q(A+I) - p(D+I) and
+    those below -tau the positive inertia of -q(A+I) - p(D+I).
     """
     if mode not in ("signed", "absolute"):
         raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
@@ -300,11 +376,10 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
     tau = Fraction(tau)
     if g.n == 1:
         return True
-    q = propagation_charpoly(g)
-    if mode == "signed":
-        return count_roots_above(q, tau) <= 1
-    if tau < 0:
+    if mode == "absolute" and tau < 0:
         return False  # all n >= 2 absolute eigenvalues exceed a negative threshold
-    above = count_roots_above(q, tau)
-    below = count_roots_below(q, -tau)
-    return above + below <= 1
+    p, q = tau.numerator, tau.denominator
+    above = _positive_inertia(_pencil_upper(g, q, p), stop=2)
+    if mode == "signed" or above > 1:
+        return above <= 1
+    return above + _positive_inertia(_pencil_upper(g, -q, p), stop=2 - above) <= 1

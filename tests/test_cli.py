@@ -94,6 +94,14 @@ def test_decide_search_space_exit_3(capsys, c4_file):
     assert "candidate" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "3"])
+def test_explicit_exact_limit_n_is_honoured(tmp_path, capsys, limit):
+    c6 = write_graph(tmp_path, "c6.txt", "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    code, _, err = run(capsys, "--exact-limit-n", limit, "decide", "groc", c6, "1", "1/2")
+    assert code == 3
+    assert f"n <= {limit}," in err
+
+
 def test_rewire_greedy_reports_metrics(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "barbell", "5", "--output", str(tmp_path / "b5.txt"))
     assert code == 0
@@ -147,6 +155,22 @@ def test_verify_tampered_certificate_exit_5(tmp_path, capsys, c4_file):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 5
     assert any("threshold" in d for d in json.loads(out)["diffs"])
+
+
+def test_verify_honours_exact_limit_n(tmp_path, capsys):
+    # h.n = 10 is above the default verification limit of 8
+    c10 = write_graph(tmp_path, "c10.txt", "10 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+    prefix = str(tmp_path / "red")
+    code, out, _ = run(
+        capsys, "reduce", "gros", c10, "2", "--allow-unscaled", "--exact-limit-n", "10", "--out-prefix", prefix
+    )
+    assert code == 0
+    assert json.loads(out)["bisection"]["width"] == 2
+    code, out, _ = run(capsys, "verify", f"{prefix}.cert.json", "--exact-limit-n", "10")
+    assert code == 0
+    assert json.loads(out)["match"] is True
+    code, _, _ = run(capsys, "verify", f"{prefix}.cert.json")
+    assert code == 3
 
 
 def test_reduce_degree_too_high_exit_4(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_gnp
+from conftest import make_connected_regular, make_gnp
 from rewirelab import build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of, propagation_charpoly
 from rewirelab.errors import ExactLimitExceeded
 from rewirelab.sturm import (
@@ -107,3 +107,76 @@ def test_exact_agrees_with_float_sampler():
             continue
         assert exact_mu2_leq(g, tau) == (mu2 <= float(tau))
         checked += 1
+
+
+def _oracle_mu2_leq(g, tau, mode, charpoly=None):
+    """The characteristic-polynomial + Sturm decision, kept as the reference."""
+    if g.n == 1:
+        return True
+    q = propagation_charpoly(g) if charpoly is None else charpoly
+    above = count_roots_above(q, tau)
+    if mode == "signed":
+        return above <= 1
+    if tau < 0:
+        return False
+    return above + count_roots_below(q, -tau) <= 1
+
+
+def test_inertia_decision_matches_charpoly_oracle():
+    # small denominators put tau exactly on eigenvalues (0, +-1, 1/3, 1/2, ...) often
+    rng = random.Random(2024)
+    disagreements = []
+    for _ in range(1000):
+        g = make_gnp(rng, rng.randrange(1, 12), rng.random())
+        den = rng.randrange(1, 13)
+        tau = Fraction(rng.randrange(-den, den + 1), den)
+        mode = rng.choice(("signed", "absolute"))
+        if exact_mu2_leq(g, tau, mode=mode) != _oracle_mu2_leq(g, tau, mode):
+            disagreements.append((g.n, g.edges, tau, mode))
+    assert disagreements == []
+
+
+def _k33():
+    return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+@pytest.mark.parametrize(
+    "g, taus",
+    [
+        # K_n: spectrum 1, 0 x (n-1)
+        (complete_graph(5), [Fraction(0), Fraction(-1, 100), Fraction(1, 100)]),
+        # disconnected: eigenvalue 1 is repeated
+        (build_graph(5, [(0, 1), (1, 2), (3, 4)]), [Fraction(1), Fraction(99, 100)]),
+        # C4: 1, 1/3, 1/3, -1/3; at 1/3 the diagonal of 3(A+I) - (D+I) is all zero
+        (cycle_graph(4), [Fraction(1, 3), Fraction(-1, 3)]),
+        # 3-regular at 1/4: 4(A+I) - (D+I) = 4A has a zero diagonal; K_{3,3} has 1/4 x 4
+        (_k33(), [Fraction(1, 4), Fraction(-1, 2), Fraction(1, 2)]),
+        (make_connected_regular(random.Random(5), 10, 3), [Fraction(1, 4), Fraction(-1, 4)]),
+        # edgeless: P = I, and at tau = 1 the whole matrix is zero
+        (build_graph(4, []), [Fraction(1), Fraction(0), Fraction(-1)]),
+    ],
+)
+def test_inertia_decision_at_exact_eigenvalues(g, taus):
+    for tau in taus:
+        for mode in ("signed", "absolute"):
+            assert exact_mu2_leq(g, tau, mode=mode) == _oracle_mu2_leq(g, tau, mode), (tau, mode)
+
+
+def test_inertia_decision_exact_eigenvalue_answers():
+    assert exact_mu2_leq(complete_graph(5), 0) is True
+    assert exact_mu2_leq(cycle_graph(4), Fraction(1, 3), mode="absolute") is True
+    assert exact_mu2_leq(cycle_graph(4), Fraction(-1, 3)) is False
+    assert exact_mu2_leq(_k33(), Fraction(1, 4)) is True
+    assert exact_mu2_leq(_k33(), Fraction(1, 4), mode="absolute") is False  # |-1/2| > 1/4
+    assert exact_mu2_leq(build_graph(4, []), Fraction(1)) is True
+    assert exact_mu2_leq(build_graph(4, []), Fraction(99, 100)) is False
+
+
+def test_inertia_decision_n64_regular_near_mu2():
+    g = make_connected_regular(random.Random(64), 64, 3)
+    mu2 = float(np.sort(np.linalg.eigvalsh(matrix_of(g, "propagation")))[-2])
+    charpoly = propagation_charpoly(g)
+    for offset, expect in ((1e-6, True), (-1e-6, False)):
+        tau = Fraction(mu2 + offset)
+        assert exact_mu2_leq(g, tau) is expect
+        assert _oracle_mu2_leq(g, tau, "signed", charpoly) is expect
