@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -70,6 +71,22 @@ _PARSE_ERRORS = (MalformedHeader, MalformedEdgeLine, json.JSONDecodeError, OSErr
 _LIMIT_ERRORS = (ExactLimitExceeded, SearchSpaceTooLarge, ConvergenceFailure)
 
 
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a '-p/q' token as a negative rational argument, not as a flag.
+
+    argparse already does this for '-1' and '-0.5'; subparsers inherit the
+    class, so every command's thresholds parse alike.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_FRACTION.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 _GLOBAL_DEFAULTS = {
     "seed": DEFAULT_SEED,
     "format": "text",
@@ -94,7 +111,7 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rewirelab",
         description="Conductance / spectral-gap graph rewiring analysis and reductions",
         parents=[common],

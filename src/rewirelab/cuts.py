@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptySide, ExactLimitExceeded, OddVertexCount, ZeroVolumeSide
 from .graph import Graph, matrix_of
-from .spectral import SpectralSummary
+from .spectral import SpectralSummary, _lanczos_start
 
 #: Default ceiling for exhaustive cut enumeration (2^(n-1) - 1 candidate cuts).
 EXACT_CONDUCTANCE_LIMIT = 24
@@ -160,7 +160,7 @@ def conductance_sweep(g: Graph) -> Cut:
     else:
         import scipy.sparse.linalg as spla
 
-        _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM")
+        _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
         fiedler = vecs[:, 1]
     order = sorted(range(g.n), key=lambda v: (fiedler[v], v))
     deg = g.degrees

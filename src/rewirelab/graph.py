@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     AdditionAlreadyPresent,
@@ -187,7 +186,8 @@ def matrix_of(g: Graph, kind: str, augmented: bool = True, dense_limit: int = DE
     `augmented` is true (the default); with `augmented=False` they fall back to
     the plain normalized forms, which require every degree to be positive.
     The normalized Laplacian is always the non-augmented I - D^{-1/2} A D^{-1/2}.
-    Dense ndarray for n <= dense_limit, scipy CSR beyond.
+    Dense ndarray for n <= dense_limit, scaled by broadcasting; scipy CSR
+    beyond, and only that branch imports scipy.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}; expected one of {MATRIX_KINDS}")
@@ -199,24 +199,50 @@ def matrix_of(g: Graph, kind: str, augmented: bool = True, dense_limit: int = DE
     if needs_positive_degree and n and deg.min() == 0:
         isolated = int(np.argmin(deg))
         raise IsolatedVertex(f"vertex {isolated} has degree 0; {kind} is undefined")
+    if n > dense_limit:
+        return _sparse_matrix_of(g, kind, augmented, deg)
 
-    dense = n <= dense_limit
-    if dense:
-        a = np.zeros((n, n), dtype=np.float64)
-        for u, v in g.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-    else:
-        rows, cols = [], []
-        for u, v in g.edges:
-            rows += [u, v]
-            cols += [v, u]
-        a = sp.csr_array(
-            (np.ones(len(rows)), (np.array(rows), np.array(cols))), shape=(n, n)
-        )
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    if kind == "adjacency":
+        return a
+    if kind == "degree":
+        return np.diag(deg)
+    if kind == "combinatorial_laplacian":
+        return np.diag(deg) - a
+    if kind == "normalized_laplacian":
+        s = 1.0 / np.sqrt(deg)
+        return np.eye(n) - s[:, None] * a * s[None, :]
+
+    d_eff = deg
+    if augmented:
+        a.flat[:: n + 1] += 1.0
+        d_eff = deg + 1.0
+    if kind == "propagation":
+        s = 1.0 / np.sqrt(d_eff)
+        a *= s[:, None]
+        a *= s[None, :]
+        return a
+    # row_stochastic_propagation
+    a *= (1.0 / d_eff)[:, None]
+    return a
+
+
+def _sparse_matrix_of(g: Graph, kind: str, augmented: bool, deg: np.ndarray):
+    """CSR form of `matrix_of` above the dense limit."""
+    import scipy.sparse as sp
+
+    n = g.n
+    rows, cols = [], []
+    for u, v in g.edges:
+        rows += [u, v]
+        cols += [v, u]
+    a = sp.csr_array((np.ones(len(rows)), (np.array(rows), np.array(cols))), shape=(n, n))
 
     def diag(values):
-        return np.diag(values) if dense else sp.diags_array(values, format="csr")
+        return sp.diags_array(values, format="csr")
 
     if kind == "adjacency":
         return a

@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cuts import EXACT_CONDUCTANCE_LIMIT, conductance_exact, conductance_sweep
 from .errors import (
@@ -249,6 +247,9 @@ def effective_resistance(g: Graph, u: int, v: int, dense_limit: int = DENSE_LIMI
         return float(pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])
     # Larger graphs: ground v (x_v = 0) and solve the reduced SPD Laplacian system,
     # leaving r = x_u directly.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     in_comp = set(comp)
     keep = [vert for vert in comp if vert != v]
     pos = {vert: i for i, vert in enumerate(keep)}
@@ -349,20 +350,23 @@ def sdrf_like_rewire(
 def ppr_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense personalized-PageRank matrix alpha (I - (1-alpha) T)^{-1}.
 
-    T is the augmented random-walk matrix; row v holds node v's diffusion
-    scores over all targets.
+    T is the augmented random-walk matrix, always taken dense (so no scipy),
+    and I - (1-alpha) T is formed in its storage; row v holds node v's
+    diffusion scores over all targets.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"teleport probability must be in (0,1), got {alpha}")
     n = g.n
-    t_mat = matrix_of(g, "row_stochastic_propagation", dense_limit=max(n, DENSE_LIMIT))
-    if sp.issparse(t_mat):
-        t_mat = t_mat.toarray()
-    m_mat = np.eye(n) - (1.0 - alpha) * t_mat
+    m_mat = matrix_of(g, "row_stochastic_propagation", dense_limit=max(n, DENSE_LIMIT))
+    m_mat *= 1.0 - alpha
+    np.subtract(0.0, m_mat, out=m_mat)  # 0 - x, not -x: zeros stay +0.0
+    m_mat.flat[:: n + 1] += 1.0
     try:
-        return alpha * np.linalg.solve(m_mat, np.eye(n))
+        pi = np.linalg.solve(m_mat, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("PPR linear system is singular") from exc
+    pi *= alpha
+    return pi
 
 
 def ppr_rewire(
@@ -386,11 +390,13 @@ def ppr_rewire(
     kept: set[tuple[int, int]] = set()
     trace = []
     for v in range(n):
-        scored = [(float(pi[v, j]), j) for j in range(n) if j != v and pi[v, j] > epsilon]
-        scored.sort(key=lambda sj: (-sj[0], sj[1]))
-        for score, j in scored[:per_node_cap]:
+        row = pi[v]
+        js = np.flatnonzero(row > epsilon)
+        js = js[js != v]
+        # score descending, then target ascending
+        for j in js[np.lexsort((js, -row[js]))[:per_node_cap]].tolist():
             kept.add(canonical_pair(v, j))
-            trace.append((v, j, score))
+            trace.append((v, j, float(row[j])))
     additions = frozenset(p for p in kept if p not in g.edges)
     return EditSet(additions=additions, removals=frozenset()), trace
 

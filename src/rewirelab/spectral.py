@@ -3,8 +3,9 @@
 lambda2 always refers to the non-augmented normalized Laplacian (the quantity
 Cheeger's inequality speaks about); mu2/mu_min refer to the propagation matrix,
 self-loop augmented by default.  Small graphs get a full symmetric
-eigendecomposition; large ones a deflated Lanczos iteration with an explicitly
-computed residual bound.
+eigendecomposition; large ones a deflated Lanczos iteration from a fixed start
+vector, so repeated calls agree bit for bit, with an explicitly computed
+residual bound.  scipy is imported only on the Lanczos path.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DimensionMismatch, IsolatedVertex
 from .graph import DENSE_LIMIT, Graph, matrix_of
@@ -47,19 +46,26 @@ def _top_eigvec_normalized_adjacency(degrees: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _lanczos_start(n: int) -> np.ndarray:
+    """Fixed ARPACK start vector: without one, eigsh starts from a random vector."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _second_largest_iterative(mat, top_vec: np.ndarray, tol: float, maxiter: int):
     """Largest eigenpair after deflating the known top eigenvector (eigenvalue 1).
 
     Shifting the top eigenvalue to -2 keeps everything else in [-1, 1], so the
     Lanczos extreme is the second-largest eigenvalue of the original operator.
     """
+    import scipy.sparse.linalg as spla
+
     n = mat.shape[0]
 
     def matvec(x):
         return mat @ x - 3.0 * np.dot(top_vec, x) * top_vec
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    vals, vecs = spla.eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter)
+    vals, vecs = spla.eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=_lanczos_start(n))
     theta = float(vals[0])
     x = vecs[:, 0]
     x = x - np.dot(top_vec, x) * top_vec
@@ -98,8 +104,8 @@ def spectral_summary(
         prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=dense_limit)
         wl, vl = np.linalg.eigh(lap)
         wp, vp = np.linalg.eigh(prop)
-        lambda2 = float(wl[1])
-        mu2 = float(wp[-2])
+        lambda2 = float(wl[1]) if connected else 0.0
+        mu2 = float(wp[-2]) if connected else 1.0
         mu_min = float(wp[0])
         res = max(
             float(np.linalg.norm(lap @ vl[:, 1] - wl[1] * vl[:, 1])),
@@ -109,6 +115,9 @@ def spectral_summary(
         return SpectralSummary(lambda2, mu2, mu_min, max(abs(mu2), abs(mu_min)), "dense_exact", res, connected)
 
     # Iterative path.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     deg = np.array(g.degrees, dtype=np.float64)
     adj = matrix_of(g, "adjacency", dense_limit=dense_limit)
     maxiter = maxiter if maxiter is not None else 50 * n
@@ -137,7 +146,7 @@ def spectral_summary(
         else:
             lambda2 = 0.0
             mu2 = 1.0
-        vals, vecs = spla.eigsh(prop, k=1, which="SA", tol=arpack_tol, maxiter=maxiter)
+        vals, vecs = spla.eigsh(prop, k=1, which="SA", tol=arpack_tol, maxiter=maxiter, v0=_lanczos_start(n))
         mu_min = float(vals[0])
         residuals.append(float(np.linalg.norm(prop @ vecs[:, 0] - mu_min * vecs[:, 0])))
     except spla.ArpackNoConvergence as exc:

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from rewirelab import parse_graph, serialize_graph
+from rewirelab import build_graph, parse_graph, serialize_graph
 from rewirelab.cli import main
 
 
@@ -86,6 +89,17 @@ def test_decide_gros_rational_threshold(capsys, c4_file):
     # strictly below the exact eigenvalue 1/3 flips the answer
     code, _, _ = run(capsys, "decide", "gros", c4_file, "0", "33332/100000")
     assert code == 1
+
+
+def test_decide_negative_fraction_threshold(capsys, c4_file):
+    # '-1/2' is a number, not a flag: same exit and output as after '--'
+    plain = run(capsys, "decide", "gros", c4_file, "1", "-1/2")
+    separated = run(capsys, "decide", "gros", c4_file, "1", "--", "-1/2")
+    assert plain[0] in (0, 1)
+    assert plain == separated
+    flag_after = run(capsys, "decide", "gros", c4_file, "1", "-1/2", "--mode", "absolute")
+    assert flag_after[0] in (0, 1)
+    assert json.loads(flag_after[1])["objective"] == "mu2"
 
 
 def test_decide_search_space_exit_3(capsys, c4_file):
@@ -202,3 +216,48 @@ def test_gen_deterministic_under_seed(capsys):
     _, out3, _ = run(capsys, "--seed", "6", "gen", "gnp", "10", "0.4")
     assert out1 == out2
     assert out1 != out3
+
+
+_SCIPY_PROBE = """
+import json, runpy, sys
+sys.argv = ["rewirelab"] + sys.argv[1:]
+code = None
+try:
+    runpy.run_module("rewirelab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def _cli_child(cwd, *argv):
+    """Run the CLI in a fresh interpreter; returns its exit code and loaded scipy modules."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_small_graph_commands_never_import_scipy(tmp_path, c4_file):
+    for argv in (
+        ("decide", "groc", c4_file, "1", "1/3"),
+        ("decide", "gros", c4_file, "1", "1/2"),
+        ("analyze", c4_file, "--format", "json"),
+    ):
+        child = _cli_child(tmp_path, *argv)
+        assert child["code"] in (0, 1)
+        assert child["scipy"] == [], argv
+
+
+def test_lanczos_analyze_imports_what_it_needs(tmp_path):
+    # n = 520 is above DENSE_LIMIT: the sparse matrices and eigsh load lazily
+    n = 520
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    path = write_graph(tmp_path, "g520.txt", serialize_graph(build_graph(n, edges)))
+    child = _cli_child(tmp_path, "analyze", path, "--format", "json")
+    assert child["code"] == 0
+    assert "scipy.sparse.linalg" in child["scipy"]

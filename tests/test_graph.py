@@ -19,6 +19,7 @@ from rewirelab import (
     random_regular_graph,
     serialize_graph,
 )
+from rewirelab.graph import MATRIX_KINDS
 from rewirelab.errors import (
     AdditionAlreadyPresent,
     DuplicateEdge,
@@ -132,6 +133,16 @@ def test_sparse_backend_matches_dense():
     dense = matrix_of(g, "combinatorial_laplacian")
     sparse = matrix_of(g, "combinatorial_laplacian", dense_limit=4)
     assert np.allclose(dense, sparse.todense())
+
+
+@pytest.mark.parametrize("augmented", [True, False])
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_dense_and_sparse_views_agree(kind, augmented):
+    g = random_regular_graph(24, 3, seed=4)
+    dense = matrix_of(g, kind, augmented=augmented)
+    sparse = matrix_of(g, kind, augmented=augmented, dense_limit=4)
+    assert isinstance(dense, np.ndarray)
+    assert np.array_equal(dense, sparse.toarray())
 
 
 def test_generate_complete_and_barbell():

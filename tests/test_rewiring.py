@@ -235,6 +235,33 @@ def test_ppr_row_stochastic():
     assert (pi > 0).all()
 
 
+def _ppr_rewire_by_pairs(g, alpha, epsilon, cap):
+    """Per-row selection over (score, target) tuples: score descending, then target."""
+    pi = ppr_matrix(g, alpha)
+    kept, trace = set(), []
+    for v in range(g.n):
+        scored = [(float(pi[v, j]), j) for j in range(g.n) if j != v and pi[v, j] > epsilon]
+        scored.sort(key=lambda sj: (-sj[0], sj[1]))
+        for score, j in scored[:cap]:
+            kept.add((min(v, j), max(v, j)))
+            trace.append((v, j, score))
+    return frozenset(p for p in kept if p not in g.edges), trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ppr_rewire_matches_pairwise_selection(seed):
+    rng = random.Random(59 + seed)
+    # cycles and 2 x K4 tie scores exactly, so the target tie-break decides
+    for g in (cycle_graph(9 + seed), make_gnp(rng, 30, 0.15), make_connected(rng, 25),
+              build_graph(8, [(u, v) for c in (0, 4) for u in range(c, c + 4) for v in range(u + 1, c + 4)])):
+        for cap in (0, 1, 3):
+            edits, trace = ppr_rewire(g, 0.15, 1e-4, cap)
+            additions, expected = _ppr_rewire_by_pairs(g, 0.15, 1e-4, cap)
+            assert edits.additions == additions and not edits.removals
+            assert trace == expected
+            assert all(type(v) is int and type(j) is int and type(s) is float for v, j, s in trace)
+
+
 def test_exact_mu2_reexport_consistency():
     # decide_gros and the direct decision must agree by construction
     g = make_gnp(random.Random(53), 5, 0.5)

@@ -59,6 +59,15 @@ def test_disconnected_flagged():
     assert abs(s.mu2 - 1.0) < 1e-10
 
 
+def test_disconnected_dense_summary_is_exact():
+    # two triangles: eigh alone gives lambda2 ~ 4e-16; 0 and 1 are exact here
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for augmented in (True, False):
+        s = spectral_summary(g, augmented=augmented)
+        assert s.method == "dense_exact" and not s.connected
+        assert s.lambda2 == 0.0 and s.mu2 == 1.0
+
+
 def test_isolated_vertex_rejected():
     with pytest.raises(IsolatedVertex):
         spectral_summary(build_graph(3, [(0, 1)]))
@@ -78,6 +87,14 @@ def test_iterative_matches_dense():
     assert abs(it.mu2 - dense.mu2) < 1e-7
     assert abs(it.mu_min - dense.mu_min) < 1e-7
     assert it.residual_bound < 1e-6
+
+
+def test_iterative_summary_is_reproducible():
+    g = make_connected_regular(random.Random(5), 2000, 3)
+    a = spectral_summary(g)
+    b = spectral_summary(g)
+    assert a.method == "iterative"
+    assert (a.lambda2, a.mu2, a.mu_min) == (b.lambda2, b.mu2, b.mu_min)
 
 
 def test_propagate_zero_layers_identity():
