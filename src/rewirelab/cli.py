@@ -92,7 +92,6 @@ _GLOBAL_DEFAULTS = {
     "format": "text",
     "exact_limit_n": None,
     "exact_limit_k": None,
-    "workers": 1,
     "output": "-",
 }
 
@@ -104,7 +103,6 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), help="report format for analyze")
     common.add_argument("--exact-limit-n", type=int, help="override the exact-enumeration vertex limits")
     common.add_argument("--exact-limit-k", type=int, help="override the decision-solver candidate cap")
-    common.add_argument("--workers", type=int, help="worker count; results are byte-identical for any value")
     common.add_argument("--output", help="output path, '-' for stdout")
     return common
 
@@ -379,8 +377,6 @@ def main(argv=None) -> int:
     for name, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, value)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except _PARSE_ERRORS as exc:

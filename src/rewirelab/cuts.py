@@ -1,9 +1,10 @@
 """Exact conductance, Cheeger bounds, exact minimum bisection, cut balancing.
 
 Conductance values are kept as Fractions so threshold comparisons in the
-decision solvers are never contaminated by floating point.  Subset and
-partition enumerations run over adjacency bitmasks with incremental updates,
-which keeps the default exact limits (n <= 24 cuts, n <= 20 bisection)
+decision solvers are never contaminated by floating point.  Exhaustive cut
+questions read one numpy table of the boundary and volume of all 2^(n-1)
+sides, `_cut_table`; bisection enumerates partitions over adjacency bitmasks.
+This keeps the default exact limits (n <= 24 cuts, n <= 20 bisection)
 comfortably under a minute.
 """
 
@@ -24,6 +25,8 @@ from .spectral import SpectralSummary, _lanczos_start
 EXACT_CONDUCTANCE_LIMIT = 24
 #: Default ceiling for exhaustive balanced-partition enumeration.
 EXACT_BISECTION_LIMIT = 20
+#: log2 of the number of sides in one chunk of the cut table.
+_CHUNK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,54 @@ def _canonical_side(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if not mask >> v & 1)
 
 
+def _cut_table(g: Graph):
+    """Integer boundary and volume of every side S of g, vertex n-1 outside.
+
+    Yields (start, boundary, volume), two int64 arrays over the masks start + L,
+    L < 2^k, k = min(n-1, _CHUNK_BITS).  Each low vertex v doubles the table
+    (vol += d_v, inner edges += |N(v) n S|, and cut = vol - 2 inner); each
+    chunk toggles one high vertex in Gray-code order, cut += +-(d_v - 2|N(v) n S|).
+    """
+    masks, deg = g.adjacency_masks, g.degrees
+    k = min(g.n - 1, _CHUNK_BITS)
+    low = np.arange(1 << k)
+    vol = inner = np.zeros(1, np.int64)
+    for v in range(k):
+        inner = np.concatenate((inner, inner + np.bitwise_count(low[: 1 << v] & masks[v])))
+        vol = np.concatenate((vol, vol + deg[v]))
+    cut = vol - 2 * inner
+    yield 0, cut, vol
+    high = 0
+    for i in range(1, 1 << (g.n - 1 - k)):
+        v = k + (i & -i).bit_length() - 1
+        inside = np.bitwise_count(low & masks[v]).astype(np.int64) + (masks[v] & high).bit_count()
+        sign = -1 if high >> v & 1 else 1
+        high ^= 1 << v
+        cut = cut + sign * (deg[v] - 2 * inside)
+        vol = vol + sign * deg[v]
+        yield high, cut, vol
+
+
+def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Indices of the least num/den over den > 0: a float quotient proposes the
+    least entry, int64 cross-multiplication decides it and its ties."""
+    ok = den > 0
+    i = int(np.argmin(np.divide(num, den, out=np.full(len(num), np.inf), where=ok)))
+    while True:
+        diff = num * den[i] - num[i] * den
+        lower = np.flatnonzero(ok & (diff < 0))
+        if not len(lower):
+            return np.flatnonzero(ok & (diff == 0))
+        i = int(lower[0])
+
+
 def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> Cut:
     """Global minimum-conductance cut by exhaustive enumeration.
 
-    Cuts are enumerated once each (vertex n-1 pinned to the complement) with
-    Gray-code incremental updates.  Ties break to the lexicographically
-    smallest canonical side.  Disconnected graphs return phi = 0 with a
-    component as witness instead of raising.
+    Every cut is read once from the cut table (vertex n-1 pinned to the
+    complement) and compared by integer cross-multiplication.  Ties break to
+    the lexicographically smallest canonical side.  Disconnected graphs return
+    phi = 0 with a component as witness instead of raising.
     """
     n = g.n
     if n > exact_limit:
@@ -103,38 +147,18 @@ def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> C
         vol_s = sum(g.degrees[v] for v in witness)
         return Cut(tuple(witness), 0, vol_s, 2 * g.m - vol_s, Fraction(0))
 
-    masks = g.adjacency_masks
-    deg = g.degrees
     total_vol = 2 * g.m
-    best_num = None  # boundary of best cut
-    best_den = None  # min-volume of best cut
-    best_side: tuple[int, ...] | None = None
-
-    mask = 0
-    cut = 0
-    vol = 0
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            cut -= deg[v] - 2 * (masks[v] & mask).bit_count()
-            vol -= deg[v]
-        else:
-            cut += deg[v] - 2 * (masks[v] & mask).bit_count()
-            mask ^= bit
-            vol += deg[v]
-        min_vol = vol if 2 * vol <= total_vol else total_vol - vol
-        if min_vol <= 0:
+    best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no cut yet
+    for start, cut, vol in _cut_table(g):
+        min_vol = np.minimum(vol, total_vol - vol)
+        tied = _least_ratio(cut, min_vol)  # never empty: no vertex is isolated
+        num, den = int(cut[tied[0]]), int(min_vol[tied[0]])
+        if num * best_den > best_num * den:
             continue
-        if best_num is None or cut * best_den < best_num * min_vol:
-            best_num, best_den = cut, min_vol
-            best_side = _canonical_side(mask, n)
-        elif cut * best_den == best_num * min_vol:
-            side = _canonical_side(mask, n)
-            if side < best_side:
-                best_side = side
-    assert best_side is not None
+        side = min(_canonical_side(start + int(j), n) for j in tied)
+        if num * best_den == best_num * den:
+            side = min(side, best_side)
+        best_num, best_den, best_side = num, den, side
     boundary, vol_s, vol_c = _boundary_and_volumes(g, set(best_side))
     return Cut(best_side, boundary, vol_s, vol_c, Fraction(boundary, min(vol_s, vol_c)))
 

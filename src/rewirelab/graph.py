@@ -370,7 +370,6 @@ def generate(family: str, params: Sequence, seed: int = 0) -> Graph:
 def parse_graph(text: str) -> Graph:
     header = None
     header_line = 0
-    declared_m = 0
     edges: list[Pair] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -386,7 +385,6 @@ def parse_graph(text: str) -> Graph:
             except ValueError:
                 raise MalformedHeader(f"line {lineno}: header must be two integers, got {line!r}")
             header_line = lineno
-            declared_m = header[1]
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -23,6 +23,9 @@ import numpy as np
 
 from .cuts import (
     EXACT_BISECTION_LIMIT,
+    _boundary_and_volumes,
+    _cut_table,
+    _least_ratio,
     balance_cut,
     conductance_exact,
     conductance_of,
@@ -254,12 +257,10 @@ def embed_instance(
 # -- measured constants -------------------------------------------------------------
 
 
-def _h_cut_width(h: Graph, s_mask: int) -> int:
-    width = 0
-    for u, v in h.edges:
-        if (s_mask >> u & 1) != (s_mask >> v & 1):
-            width += 1
-    return width
+def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """Greatest num/den over the entries with den > 0, or 0 if there are none."""
+    top = _least_ratio(-num, den)
+    return Fraction(int(num[top[0]]), int(den[top[0]])) if len(top) else Fraction(0)
 
 
 def measure_constants(
@@ -270,60 +271,36 @@ def measure_constants(
     c1: max over S subset V, |S| <= n/2 of phi_G(S u U) * n / (|cut_H(S)| + n).
     c2: max over cuts X of G with phi_G(X) > 0 of |cut_H(X n V)| / (phi_G(X) n).
     c3: max balancing factor of the extracted side S = X n V over the same cuts.
+
+    All read the cut tables of G and H (phi_G(S u U) is the entry of V \\ S);
+    each maximum is decided by integer cross-multiplication.
     """
     n = h.n
     if n > exact_limit:
         raise ExactLimitExceeded(f"constant measurement limited to h.n <= {exact_limit}, got {n}")
     g = emb.g
-    n_g = g.n
-    u_set = set(emb.pad_vertices)
-
-    c1 = Fraction(0)
-    half = n // 2
-    for s_mask in range(1 << n):
-        members = [v for v in range(n) if s_mask >> v & 1]
-        if len(members) > half:
-            continue
-        phi = conductance_of(g, set(members) | u_set).phi
-        c1 = max(c1, phi * n / (_h_cut_width(h, s_mask) + n))
-
-    c2 = Fraction(0)
-    c3 = Fraction(0)
-    masks_g = g.adjacency_masks
-    deg_g = g.degrees
     total_vol = 2 * g.m
-    balance_memo: dict[int, Fraction] = {}
-    v_all_mask = (1 << n) - 1
+    v_all = (1 << n) - 1
+    # |cut_H(S)| for every S subset V; S and V \ S have the same width
+    width = np.concatenate([cut for _, cut, _ in sorted(_cut_table(h), key=lambda chunk: chunk[0])])
+    width = np.concatenate((width, width[::-1]))
 
-    mask = 0
-    cut = 0
-    vol = 0
-    for i in range(1, 1 << (n_g - 1)):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            cut -= deg_g[v] - 2 * (masks_g[v] & mask).bit_count()
-            vol -= deg_g[v]
-        else:
-            cut += deg_g[v] - 2 * (masks_g[v] & mask).bit_count()
-            mask ^= bit
-            vol += deg_g[v]
-        min_vol = min(vol, total_vol - vol)
-        if min_vol <= 0 or cut == 0:
-            continue
-        phi_x = Fraction(cut, min_vol)
-        s_mask = mask & v_all_mask
-        width = _h_cut_width(h, s_mask)
-        if width:
-            c2 = max(c2, Fraction(width) / (phi_x * n))
-        if s_mask not in (0, v_all_mask):
-            factor = balance_memo.get(s_mask)
-            if factor is None:
-                side = tuple(v for v in range(n) if s_mask >> v & 1)
-                _, factor = balance_cut(h, side)
-                balance_memo[s_mask] = factor
-            c3 = max(c3, factor)
+    c1 = c2 = c3 = Fraction(0)
+    sides = []
+    for start, cut, vol in _cut_table(g):
+        x = start + np.arange(len(cut))
+        s = x & v_all
+        w = width[s]
+        min_vol = np.minimum(vol, total_vol - vol)
+        # c1 reads X = V \ S, so X misses U and |X| >= n - n/2; other X get a zero denominator
+        pick = (x == s) & (np.bitwise_count(s) >= n - n // 2)
+        c1 = max(c1, _greatest_ratio(cut * n, min_vol * (w + n) * pick))
+        # phi_G(X) > 0 exactly when cut > 0, which also makes min_vol > 0
+        c2 = max(c2, _greatest_ratio(w * min_vol, cut * n))
+        sides.append(s[cut > 0])
+    for s_mask in np.unique(np.concatenate(sides)).tolist():
+        if s_mask not in (0, v_all):
+            c3 = max(c3, balance_cut(h, tuple(v for v in range(n) if s_mask >> v & 1))[1])
     return ReductionConstants(
         c1=c1 if c1 > 0 else Fraction(1, 10**9),
         c2=c2 if c2 > 0 else Fraction(1, 10**9),
@@ -555,13 +532,13 @@ def _reverse_chain_groc(cert: ReductionCertificate, min_cut_side: tuple[int, ...
         "hypothesis_phi_below_threshold": phi_g < cert.threshold,
         "extracted_side": s,
     }
-    width = _h_cut_width(h, sum(1 << v for v in s))
+    width = _boundary_and_volumes(h, set(s))[0]
     terms["extracted_width"] = width
     terms["extraction_bound_configured"] = cert.constants.c2 * phi_g * n
     terms["extraction_holds_configured"] = Fraction(width) <= cert.constants.c2 * phi_g * n
     if 0 < len(s) < n:
         balanced, factor = balance_cut(h, s)
-        bal_width = _h_cut_width(h, sum(1 << v for v in balanced))
+        bal_width = _boundary_and_volumes(h, set(balanced))[0]
         terms["balanced_side"] = balanced
         terms["balanced_width"] = bal_width
         terms["balance_factor"] = factor
@@ -624,11 +601,11 @@ def _reverse_chain_gros(cert: ReductionCertificate, lambda2_g: float, mu2_leq_ta
     s = tuple(v for v in cut.subset if v < n)
     terms["min_cut_conductance"] = cut.phi
     terms["extracted_side"] = s
-    width = _h_cut_width(h, sum(1 << v for v in s))
+    width = _boundary_and_volumes(h, set(s))[0]
     terms["extracted_width"] = width
     if 0 < len(s) < n:
         balanced, factor = balance_cut(h, s)
-        terms["balanced_width"] = _h_cut_width(h, sum(1 << v for v in balanced))
+        terms["balanced_width"] = _boundary_and_volumes(h, set(balanced))[0]
         terms["balance_factor"] = factor
     return terms
 

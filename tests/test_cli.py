@@ -199,12 +199,12 @@ def test_reduce_invalid_constants_exit_4(capsys, c4_file):
     assert code == 4
 
 
-def test_deterministic_output_across_runs_and_workers(capsys, c4_file, tmp_path):
+def test_deterministic_output_across_runs(capsys, c4_file, tmp_path):
     prefix1 = str(tmp_path / "a")
     prefix2 = str(tmp_path / "b")
-    code, out1, _ = run(capsys, "--workers", "1", "reduce", "groc", c4_file, "2", "--out-prefix", prefix1)
+    code, out1, _ = run(capsys, "reduce", "groc", c4_file, "2", "--out-prefix", prefix1)
     assert code == 0
-    code, out2, _ = run(capsys, "--workers", "4", "reduce", "groc", c4_file, "2", "--out-prefix", prefix2)
+    code, out2, _ = run(capsys, "reduce", "groc", c4_file, "2", "--out-prefix", prefix2)
     assert code == 0
     assert out1 == out2
     assert (tmp_path / "a.cert.json").read_bytes() == (tmp_path / "b.cert.json").read_bytes()

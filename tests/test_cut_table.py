@@ -1,0 +1,78 @@
+"""The numpy cut table against the Gray-code scans it replaced, and against a
+direct recount of every side."""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gray_reference
+from conftest import make_gnp, make_max_degree_3
+from rewirelab import (
+    barbell_graph,
+    build_graph,
+    complete_graph,
+    conductance_exact,
+    cuts,
+    cycle_graph,
+    embed_instance,
+    measure_constants,
+    random_regular_graph,
+)
+
+
+def _corpus():
+    rng = random.Random(2024)
+    graphs = [cycle_graph(n) for n in (3, 4, 7, 10, 16)]
+    graphs += [complete_graph(n) for n in (2, 5, 8, 13, 16)]
+    graphs += [barbell_graph(k) for k in (3, 5, 8)]
+    graphs += [random_regular_graph(n, 3, seed=rng.randrange(1 << 30)) for n in (4, 8, 12, 16)]
+    graphs += [make_gnp(rng, rng.randrange(2, 17), rng.uniform(0.15, 0.9)) for _ in range(12)]
+    graphs.append(build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))  # vertex 5 is isolated
+    return [g for g in graphs if g.m > 0]
+
+
+CORPUS = _corpus()
+
+
+def test_conductance_exact_matches_gray_reference():
+    for g in CORPUS:
+        assert conductance_exact(g) == gray_reference.conductance_exact(g), g
+
+
+def test_conductance_exact_matches_gray_reference_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(cuts, "_CHUNK_BITS", 3)  # every graph above n = 4 takes the high-bit path
+    for g in CORPUS:
+        assert conductance_exact(g) == gray_reference.conductance_exact(g), g
+
+
+@pytest.mark.parametrize("seed", [7, 1729])
+def test_measure_constants_matches_gray_reference(seed):
+    rng = random.Random(seed)
+    hosts = [cycle_graph(4), cycle_graph(6), cycle_graph(8), make_max_degree_3(rng, 6), make_max_degree_3(rng, 8)]
+    for h in hosts:
+        emb = embed_instance(h, seed=seed)
+        assert measure_constants(emb, h) == gray_reference.measure_constants(emb, h), h
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_graphs(), chunk_bits=st.integers(1, 14))
+def test_cut_table_recounts_every_side(g, chunk_bits):
+    seen = []
+    with mock.patch.object(cuts, "_CHUNK_BITS", chunk_bits):
+        for start, boundary, volume in cuts._cut_table(g):
+            for low, (b, vol) in enumerate(zip(boundary.tolist(), volume.tolist())):
+                mask = start + low
+                side = {v for v in range(g.n) if mask >> v & 1}
+                assert (b, vol) == cuts._boundary_and_volumes(g, side)[:2]
+                seen.append(mask)
+    assert sorted(seen) == list(range(1 << (g.n - 1)))
