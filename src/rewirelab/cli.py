@@ -48,6 +48,7 @@ from .reductions import (
     verify_reduction,
 )
 from .rewiring import (
+    MAX_EDIT_CANDIDATES,
     GrocInstance,
     GrosInstance,
     decide_groc,
@@ -59,6 +60,7 @@ from .rewiring import (
     sdrf_like_rewire,
 )
 from .spectral import spectral_summary
+from .sturm import EXACT_EIGEN_LIMIT
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -243,18 +245,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_decide(args) -> int:
     g = _read_graph(args.graph_file)
     threshold = Fraction(args.threshold)
-    cap_kwargs = {}
-    if args.exact_limit_k is not None:
-        cap_kwargs["max_candidates"] = args.exact_limit_k
+    cap = MAX_EDIT_CANDIDATES if args.exact_limit_k is None else args.exact_limit_k
     if args.problem == "groc":
         limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
-        decision = decide_groc(GrocInstance(g, args.budget, threshold), exact_limit=limit, **cap_kwargs)
+        decision = decide_groc(GrocInstance(g, args.budget, threshold), exact_limit=limit, max_candidates=cap)
         objective = "conductance"
     else:
-        kwargs = dict(cap_kwargs)
-        if args.exact_limit_n is not None:
-            kwargs["exact_limit"] = args.exact_limit_n
-        decision = decide_gros(GrosInstance(g, args.budget, threshold, args.mode), **kwargs)
+        limit = _exact_limit_n(args, EXACT_EIGEN_LIMIT)
+        inst = GrosInstance(g, args.budget, threshold, args.mode)
+        decision = decide_gros(inst, exact_limit=limit, max_candidates=cap)
         objective = "mu2"
     _emit(json.dumps(decision_to_json(decision, objective), sort_keys=True, indent=2) + "\n", args.output)
     return EXIT_YES if decision.answer == "yes" else EXIT_NO
@@ -338,15 +337,38 @@ def _diff_json(a, b, path="") -> list[str]:
     return []
 
 
+#: What `rebuild_certificate` reads, with the JSON types `certificate_to_json` writes.
+_CERTIFICATE_INPUTS = {
+    "kind": str,
+    "instance": {"graph": str, "budget": int},
+    "constants": {"c1": str, "c2": str, "c3": str},
+    "seed": int,
+    "pad_expander_floor": str,
+    "max_retries": int,
+}
+
+
+def _mistyped_fields(value, shape: dict, path: str = "certificate") -> list[str]:
+    """The fields of `shape` that `value` lacks or holds with another type."""
+    if not isinstance(value, dict):
+        return [path]
+    bad = []
+    for key, kind in shape.items():
+        if isinstance(kind, dict):
+            bad += _mistyped_fields(value.get(key), kind, f"{path}.{key}")
+        elif not isinstance(value.get(key), kind):
+            bad.append(f"{path}.{key}")
+    return bad
+
+
 def _cmd_verify(args) -> int:
     with open(args.certificate_file) as fh:
-        recorded_text = fh.read()
-    recorded = json.loads(recorded_text)
-    if "kind" not in recorded or "instance" not in recorded:
-        raise MalformedHeader("not a reduction certificate: missing 'kind'/'instance'")
+        recorded = json.load(fh)
+    bad = _mistyped_fields(recorded, _CERTIFICATE_INPUTS)
+    if bad:
+        raise MalformedHeader(f"not a reduction certificate: {', '.join(bad)} missing or mistyped")
     rebuilt = rebuild_certificate(recorded, h_limit=_exact_limit_n(args, VERIFY_H_LIMIT))
-    rebuilt_json = certificate_to_json(rebuilt)
-    diffs = _diff_json(recorded, rebuilt_json)
+    diffs = _diff_json(recorded, certificate_to_json(rebuilt))
     if diffs:
         report = {"match": False, "diffs": diffs}
         _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.output)

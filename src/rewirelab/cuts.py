@@ -2,17 +2,16 @@
 
 Conductance values are kept as Fractions so threshold comparisons in the
 decision solvers are never contaminated by floating point.  Exhaustive cut
-questions read one numpy table of the boundary and volume of all 2^(n-1)
-sides, `_cut_table`; bisection enumerates partitions over adjacency bitmasks.
-This keeps the default exact limits (n <= 24 cuts, n <= 20 bisection)
-comfortably under a minute.
+questions, minimum conductance and minimum bisection alike, read one numpy
+table of the boundary and volume of all 2^(n-1) sides, `_cut_table`, and take
+its least ratio with `_least_side`.  This keeps the default exact limits
+(n <= 24 cuts, n <= 20 bisection) comfortably under a minute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -48,8 +47,8 @@ class Cut:
 class BisectionResult:
     """Width and witness of a balanced partition search.
 
-    `exhaustive` is False when a budget was given and the search stopped at the
-    first partition meeting it; the width is then that witness's width.
+    The search always reads every partition, so `exhaustive` is always True;
+    the field stays because the benchmark tracer reads it.
     """
 
     width: int
@@ -66,6 +65,14 @@ def _boundary_and_volumes(g: Graph, s: set[int]) -> tuple[int, int, int]:
     return boundary, vol_s, 2 * g.m - vol_s
 
 
+def _cut_of(g: Graph, side) -> Cut:
+    """The Cut of one side; a side of volume 0 has no boundary, and phi = 0."""
+    s = set(side)
+    boundary, vol_s, vol_c = _boundary_and_volumes(g, s)
+    min_vol = min(vol_s, vol_c)
+    return Cut(tuple(sorted(s)), boundary, vol_s, vol_c, Fraction(boundary, min_vol) if min_vol else Fraction(0))
+
+
 def conductance_of(g: Graph, s) -> Cut:
     """Exact conductance of the cut (S, V \\ S)."""
     s = set(s)
@@ -73,11 +80,10 @@ def conductance_of(g: Graph, s) -> Cut:
         raise EmptySide(f"cut side must be a nonempty proper subset, got {len(s)} of {g.n} vertices")
     if any(v < 0 or v >= g.n for v in s):
         raise EmptySide(f"subset contains out-of-range vertices: {sorted(s)}")
-    boundary, vol_s, vol_c = _boundary_and_volumes(g, s)
-    min_vol = min(vol_s, vol_c)
-    if min_vol == 0:
-        raise ZeroVolumeSide(f"side with volume 0 (vol_s={vol_s}, vol_complement={vol_c})")
-    return Cut(tuple(sorted(s)), boundary, vol_s, vol_c, Fraction(boundary, min_vol))
+    cut = _cut_of(g, s)
+    if min(cut.vol_s, cut.vol_complement) == 0:
+        raise ZeroVolumeSide(f"side with volume 0 (vol_s={cut.vol_s}, vol_complement={cut.vol_complement})")
+    return cut
 
 
 def _canonical_side(mask: int, n: int) -> tuple[int, ...]:
@@ -128,6 +134,29 @@ def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         i = int(lower[0])
 
 
+def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
+    """Least cut/den over the sides of the cut table with den > 0.
+
+    `den_of(start, cut, vol)` gives the integer denominators of one chunk, and
+    some chunk must have den > 0.  Returns (cut, side), decided by integer
+    cross-multiplication, with ties broken to the least `_canonical_side`.
+    """
+    best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no side yet
+    for start, cut, vol in _cut_table(g):
+        den = den_of(start, cut, vol)
+        tied = _least_ratio(cut, den)
+        if not len(tied):
+            continue
+        num, d = int(cut[tied[0]]), int(den[tied[0]])
+        if num * best_den > best_num * d:
+            continue
+        side = min(_canonical_side(start + int(j), g.n) for j in tied)
+        if num * best_den == best_num * d:
+            side = min(side, best_side)
+        best_num, best_den, best_side = num, d, side
+    return best_num, best_side
+
+
 def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> Cut:
     """Global minimum-conductance cut by exhaustive enumeration.
 
@@ -143,24 +172,10 @@ def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> C
         raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
     comps = g.connected_components()
     if len(comps) > 1:
-        witness = comps[0]
-        vol_s = sum(g.degrees[v] for v in witness)
-        return Cut(tuple(witness), 0, vol_s, 2 * g.m - vol_s, Fraction(0))
-
+        return _cut_of(g, comps[0])
     total_vol = 2 * g.m
-    best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no cut yet
-    for start, cut, vol in _cut_table(g):
-        min_vol = np.minimum(vol, total_vol - vol)
-        tied = _least_ratio(cut, min_vol)  # never empty: no vertex is isolated
-        num, den = int(cut[tied[0]]), int(min_vol[tied[0]])
-        if num * best_den > best_num * den:
-            continue
-        side = min(_canonical_side(start + int(j), n) for j in tied)
-        if num * best_den == best_num * den:
-            side = min(side, best_side)
-        best_num, best_den, best_side = num, den, side
-    boundary, vol_s, vol_c = _boundary_and_volumes(g, set(best_side))
-    return Cut(best_side, boundary, vol_s, vol_c, Fraction(boundary, min(vol_s, vol_c)))
+    _, side = _least_side(g, lambda start, cut, vol: np.minimum(vol, total_vol - vol))
+    return _cut_of(g, side)
 
 
 def conductance_sweep(g: Graph) -> Cut:
@@ -173,9 +188,7 @@ def conductance_sweep(g: Graph) -> Cut:
         raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
     comps = g.connected_components()
     if len(comps) > 1:
-        witness = comps[0]
-        vol_s = sum(g.degrees[v] for v in witness)
-        return Cut(tuple(witness), 0, vol_s, 2 * g.m - vol_s, Fraction(0))
+        return _cut_of(g, comps[0])
     lap = matrix_of(g, "normalized_laplacian")
     if g.n <= 2048:
         lap = np.asarray(lap.todense()) if not isinstance(lap, np.ndarray) else lap
@@ -187,26 +200,14 @@ def conductance_sweep(g: Graph) -> Cut:
         _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
         fiedler = vecs[:, 1]
     order = sorted(range(g.n), key=lambda v: (fiedler[v], v))
-    deg = g.degrees
-    total_vol = 2 * g.m
-    in_prefix = [False] * g.n
-    cut = 0
-    vol = 0
-    best = None
-    for idx, v in enumerate(order[:-1]):
-        cut += deg[v] - 2 * sum(1 for w in g.neighbors[v] if in_prefix[w])
-        vol += deg[v]
-        in_prefix[v] = True
-        min_vol = min(vol, total_vol - vol)
-        if min_vol <= 0:
-            continue
-        phi = Fraction(cut, min_vol)
-        if best is None or phi < best[0]:
-            best = (phi, idx)
-    assert best is not None
-    side = set(order[: best[1] + 1])
-    boundary, vol_s, vol_c = _boundary_and_volumes(g, side)
-    return Cut(tuple(sorted(side)), boundary, vol_s, vol_c, Fraction(boundary, min(vol_s, vol_c)))
+    pos = np.empty(g.n, np.int64)
+    pos[order] = np.arange(g.n)
+    ends = np.sort(pos[np.array(list(g.edges))], axis=1)
+    # an edge crosses prefix i (the first i + 1 vertices in order) when its ends sit at lo <= i < hi
+    cut = np.cumsum(np.bincount(ends[:, 0], minlength=g.n) - np.bincount(ends[:, 1], minlength=g.n))[:-1]
+    vol = np.cumsum(np.array(g.degrees)[order])[:-1]
+    best = int(_least_ratio(cut, np.minimum(vol, 2 * g.m - vol))[0])
+    return _cut_of(g, order[: best + 1])
 
 
 def cheeger_interval(summary: SpectralSummary) -> tuple[float, float]:
@@ -225,43 +226,21 @@ def cheeger_consistent(phi: float, lambda2: float, slack: float = 1e-9) -> bool:
     return phi * phi / 2.0 <= lambda2 + slack and lambda2 <= 2.0 * phi + slack
 
 
-def min_bisection_exact(
-    h: Graph, budget_b: int | None = None, exact_limit: int = EXACT_BISECTION_LIMIT
-) -> BisectionResult:
+def min_bisection_exact(h: Graph, exact_limit: int = EXACT_BISECTION_LIMIT) -> BisectionResult:
     """Minimum crossing edges over exactly-balanced partitions, by enumeration.
 
-    Vertex 0's side is fixed so each unordered partition is visited once, in
-    lexicographic order (the first minimum found is the lex-smallest witness).
-    With `budget_b`, the search may return early at the first partition of
-    width <= budget_b.
+    Reads the sides with |S| = n/2 from the cut table, each partition once
+    (vertex n-1 on the far side).  The witness is the lexicographically
+    smallest minimum side, the one that holds vertex 0.
     """
     n = h.n
     if n % 2 != 0:
         raise OddVertexCount(f"bisection needs an even vertex count, got {n}")
     if n > exact_limit:
         raise ExactLimitExceeded(f"exact bisection limited to n <= {exact_limit}, got {n}")
-    masks = h.adjacency_masks
-    deg = h.degrees
-    half = n // 2
-    best_width = None
-    best_set: tuple[int, ...] | None = None
-    for rest in combinations(range(1, n), half - 1):
-        mask = 1
-        sum_deg = deg[0]
-        for v in rest:
-            mask |= 1 << v
-            sum_deg += deg[v]
-        inside2 = (masks[0] & mask).bit_count()
-        for v in rest:
-            inside2 += (masks[v] & mask).bit_count()
-        width = sum_deg - inside2
-        if budget_b is not None and width <= budget_b:
-            return BisectionResult(width, (0,) + rest, exhaustive=False)
-        if best_width is None or width < best_width:
-            best_width = width
-            best_set = (0,) + rest
-    assert best_width is not None and best_set is not None
-    return BisectionResult(best_width, best_set, exhaustive=True)
+    # a 0/1 denominator keeps the sides with |S| = n/2
+    width, side = _least_side(h, lambda start, cut, vol: np.bitwise_count(start + np.arange(len(cut))) == n // 2)
+    return BisectionResult(width, side, exhaustive=True)
 
 
 def balance_cut(h: Graph, s) -> tuple[tuple[int, ...], Fraction]:

@@ -286,7 +286,7 @@ def measure_constants(
     width = np.concatenate((width, width[::-1]))
 
     c1 = c2 = c3 = Fraction(0)
-    sides = []
+    seen = np.zeros(1 << n, bool)  # the sides X n V of the cuts with cut > 0
     for start, cut, vol in _cut_table(g):
         x = start + np.arange(len(cut))
         s = x & v_all
@@ -297,8 +297,8 @@ def measure_constants(
         c1 = max(c1, _greatest_ratio(cut * n, min_vol * (w + n) * pick))
         # phi_G(X) > 0 exactly when cut > 0, which also makes min_vol > 0
         c2 = max(c2, _greatest_ratio(w * min_vol, cut * n))
-        sides.append(s[cut > 0])
-    for s_mask in np.unique(np.concatenate(sides)).tolist():
+        seen[s[cut > 0]] = True
+    for s_mask in np.flatnonzero(seen).tolist():
         if s_mask not in (0, v_all):
             c3 = max(c3, balance_cut(h, tuple(v for v in range(n) if s_mask >> v & 1))[1])
     return ReductionConstants(

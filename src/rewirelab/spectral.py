@@ -114,22 +114,15 @@ def spectral_summary(
         )
         return SpectralSummary(lambda2, mu2, mu_min, max(abs(mu2), abs(mu_min)), "dense_exact", res, connected)
 
-    # Iterative path.
-    import scipy.sparse as sp
+    # Iterative path: D^{-1/2} A D^{-1/2} is the plain propagation matrix.
     import scipy.sparse.linalg as spla
 
     deg = np.array(g.degrees, dtype=np.float64)
-    adj = matrix_of(g, "adjacency", dense_limit=dense_limit)
+    d_eff = deg + 1.0 if augmented else deg
+    norm_adj = matrix_of(g, "propagation", augmented=False, dense_limit=dense_limit)
+    prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=dense_limit)
     maxiter = maxiter if maxiter is not None else 50 * n
     arpack_tol = min(tol, 1e-10)
-
-    d_eff = deg + 1.0 if augmented else deg
-    s_eff = 1.0 / np.sqrt(d_eff)
-    a_eff = adj + sp.eye_array(n, format="csr") if augmented else adj
-    prop = sp.diags_array(s_eff, format="csr") @ a_eff @ sp.diags_array(s_eff, format="csr")
-
-    s_plain = 1.0 / np.sqrt(deg)
-    norm_adj = sp.diags_array(s_plain, format="csr") @ adj @ sp.diags_array(s_plain, format="csr")
 
     try:
         residuals = []

@@ -66,12 +66,13 @@ def oracle_conductance(g: Graph) -> Fraction:
     return best
 
 
-def oracle_min_bisection(g: Graph) -> int:
-    """Minimum balanced-cut width by scanning all size-n/2 subsets."""
+def oracle_min_bisection(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Minimum balanced-cut width and the lexicographically first side that
+    attains it, by scanning all size-n/2 subsets in lexicographic order."""
     best = None
     for side in combinations(range(g.n), g.n // 2):
         s = set(side)
         width = sum(1 for u, v in g.edges if (u in s) != (v in s))
-        if best is None or width < best:
-            best = width
+        if best is None or width < best[0]:
+            best = (width, side)
     return best

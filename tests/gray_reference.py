@@ -1,16 +1,20 @@
-"""Reference scans for the differential tests: the Gray-code loops that the
-vectorised cut table in `rewirelab.cuts` replaced, kept as written there.
+"""Reference scans for the differential tests: the Python loops that the
+vectorised cut code in `rewirelab.cuts` replaced, kept as written there.
 
 `conductance_exact` and `measure_constants` walk all 2^(n-1) sides one vertex
 toggle at a time in Python ints; c1 is taken from one `conductance_of` call
-per subset and every H-boundary from `_h_cut_width`.
+per subset and every H-boundary from `_h_cut_width`.  `conductance_sweep`
+grows the Fiedler prefix one vertex at a time and keeps the first least phi
+(its dense `eigh` branch only, for n <= 2048).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from rewirelab import Cut, Graph, balance_cut, conductance_of
+import numpy as np
+
+from rewirelab import Cut, Graph, balance_cut, conductance_of, matrix_of
 from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT, _boundary_and_volumes, _canonical_side
 from rewirelab.errors import EmptySide, ExactLimitExceeded
 from rewirelab.reductions import VERIFY_H_LIMIT, ExpanderEmbedding, ReductionConstants
@@ -133,3 +137,38 @@ def measure_constants(
         c2=c2 if c2 > 0 else Fraction(1, 10**9),
         c3=c3 if c3 > 0 else Fraction(1, 10**9),
     )
+
+
+def conductance_sweep(g: Graph) -> Cut:
+    if g.n < 2:
+        raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
+    comps = g.connected_components()
+    if len(comps) > 1:
+        witness = comps[0]
+        vol_s = sum(g.degrees[v] for v in witness)
+        return Cut(tuple(witness), 0, vol_s, 2 * g.m - vol_s, Fraction(0))
+    lap = matrix_of(g, "normalized_laplacian")
+    lap = np.asarray(lap.todense()) if not isinstance(lap, np.ndarray) else lap
+    _, vecs = np.linalg.eigh(lap)
+    fiedler = vecs[:, 1]
+    order = sorted(range(g.n), key=lambda v: (fiedler[v], v))
+    deg = g.degrees
+    total_vol = 2 * g.m
+    in_prefix = [False] * g.n
+    cut = 0
+    vol = 0
+    best = None
+    for idx, v in enumerate(order[:-1]):
+        cut += deg[v] - 2 * sum(1 for w in g.neighbors[v] if in_prefix[w])
+        vol += deg[v]
+        in_prefix[v] = True
+        min_vol = min(vol, total_vol - vol)
+        if min_vol <= 0:
+            continue
+        phi = Fraction(cut, min_vol)
+        if best is None or phi < best[0]:
+            best = (phi, idx)
+    assert best is not None
+    side = set(order[: best[1] + 1])
+    boundary, vol_s, vol_c = _boundary_and_volumes(g, side)
+    return Cut(tuple(sorted(side)), boundary, vol_s, vol_c, Fraction(boundary, min(vol_s, vol_c)))

@@ -180,7 +180,7 @@ def test_criterion_05_known_value_spot_checks():
     assert abs(mu[-2]) <= 1e-12
     assert abs(spectral_summary(complete_graph(2)).mu2) <= 1e-9
     # min bisection C4 = 2 by balanced-partition scan
-    assert oracle_min_bisection(cycle_graph(4)) == 2
+    assert oracle_min_bisection(cycle_graph(4))[0] == 2
     assert min_bisection_exact(cycle_graph(4)).width == 2
     # effective resistance C4 adjacent = 3/4: parallel resistors 1 and 3
     assert abs(1 / (1 / 1 + 1 / 3) - 0.75) <= 1e-12

@@ -111,9 +111,10 @@ def test_decide_search_space_exit_3(capsys, c4_file):
 @pytest.mark.parametrize("limit", ["0", "3"])
 def test_explicit_exact_limit_n_is_honoured(tmp_path, capsys, limit):
     c6 = write_graph(tmp_path, "c6.txt", "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
-    code, _, err = run(capsys, "--exact-limit-n", limit, "decide", "groc", c6, "1", "1/2")
-    assert code == 3
-    assert f"n <= {limit}," in err
+    for problem in ("groc", "gros"):
+        code, _, err = run(capsys, "--exact-limit-n", limit, "decide", problem, c6, "1", "1/2")
+        assert code == 3
+        assert f"n <= {limit}," in err
 
 
 def test_rewire_greedy_reports_metrics(tmp_path, capsys):
@@ -169,6 +170,26 @@ def test_verify_tampered_certificate_exit_5(tmp_path, capsys, c4_file):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 5
     assert any("threshold" in d for d in json.loads(out)["diffs"])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda cert: {k: v for k, v in cert.items() if k != "constants"},
+        lambda cert: 5,
+        lambda cert: {**cert, "instance": {**cert["instance"], "budget": None}},
+    ],
+    ids=["no-constants", "not-an-object", "null-budget"],
+)
+def test_verify_malformed_certificate_exit_2(tmp_path, capsys, c4_file, tamper):
+    prefix = str(tmp_path / "red")
+    code, _, _ = run(capsys, "reduce", "groc", c4_file, "2", "--out-prefix", prefix)
+    assert code == 0
+    cert_path = tmp_path / "red.cert.json"
+    cert_path.write_text(json.dumps(tamper(json.loads(cert_path.read_text()))))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a reduction certificate") and err.count("\n") == 1
 
 
 def test_verify_honours_exact_limit_n(tmp_path, capsys):

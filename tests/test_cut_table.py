@@ -48,6 +48,13 @@ def test_conductance_exact_matches_gray_reference_in_small_chunks(monkeypatch):
         assert conductance_exact(g) == gray_reference.conductance_exact(g), g
 
 
+def test_conductance_sweep_matches_reference():
+    graphs = CORPUS + [random_regular_graph(n, 3, seed=n) for n in (40, 100, 600)]
+    graphs += [build_graph(4, [(1, 2), (2, 3)])]  # first component is an isolated vertex
+    for g in graphs:
+        assert cuts.conductance_sweep(g) == gray_reference.conductance_sweep(g), g
+
+
 @pytest.mark.parametrize("seed", [7, 1729])
 def test_measure_constants_matches_gray_reference(seed):
     rng = random.Random(seed)

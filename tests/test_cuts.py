@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_connected, make_gnp, oracle_conductance, oracle_min_bisection
 from rewirelab import (
+    Cut,
     balance_cut,
     barbell_graph,
     build_graph,
@@ -14,6 +15,7 @@ from rewirelab import (
     conductance_exact,
     conductance_of,
     conductance_sweep,
+    cuts,
     cycle_graph,
     min_bisection_exact,
     spectral_summary,
@@ -80,6 +82,9 @@ def test_conductance_exact_disconnected_witness():
     g = build_graph(5, [(0, 1), (2, 3), (3, 4)])
     cut = conductance_exact(g)
     assert cut.phi == 0 and cut.subset == (0, 1) and cut.boundary_size == 0
+    # the first component is an isolated vertex: a zero-volume witness still reads phi = 0
+    cut = conductance_exact(build_graph(4, [(1, 2), (2, 3)]))
+    assert cut == Cut((0,), 0, 0, 4, Fraction(0))
 
 
 def test_conductance_exact_limit():
@@ -92,6 +97,11 @@ def test_conductance_sweep_upper_bounds_exact():
     for _ in range(15):
         g = make_connected(rng, rng.randrange(4, 11))
         assert conductance_sweep(g).phi >= conductance_exact(g).phi
+
+
+def test_conductance_sweep_disconnected_witness():
+    assert conductance_sweep(build_graph(5, [(0, 1), (2, 3), (3, 4)])) == Cut((0, 1), 0, 2, 4, Fraction(0))
+    assert conductance_sweep(build_graph(4, [(1, 2), (2, 3)])) == Cut((0,), 0, 0, 4, Fraction(0))
 
 
 def test_cheeger_interval_values():
@@ -128,12 +138,23 @@ def test_min_bisection_known_values():
     assert min_bisection_exact(complete_graph(4)).width == 4
 
 
-def test_min_bisection_matches_oracle():
+def _assert_min_bisection_matches_oracle():
     rng = random.Random(61)
-    for _ in range(30):
-        n = rng.choice([4, 6, 8])
-        g = make_gnp(rng, n, rng.random())
-        assert min_bisection_exact(g).width == oracle_min_bisection(g)
+    graphs = [build_graph(n, []) for n in (2, 4, 8, 12)]
+    graphs += [make_gnp(rng, rng.choice([2, 4, 6, 8, 10, 12]), rng.random()) for _ in range(40)]
+    for g in graphs:
+        res = min_bisection_exact(g)
+        assert (res.width, res.partition) == oracle_min_bisection(g), g
+        assert res.exhaustive
+
+
+def test_min_bisection_matches_oracle():
+    _assert_min_bisection_matches_oracle()
+
+
+def test_min_bisection_matches_oracle_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(cuts, "_CHUNK_BITS", 3)  # sides above n = 4 span several chunks
+    _assert_min_bisection_matches_oracle()
 
 
 def test_min_bisection_relabeling_invariance():
@@ -144,13 +165,6 @@ def test_min_bisection_relabeling_invariance():
         rng.shuffle(perm)
         relabeled = build_graph(8, [(perm[u], perm[v]) for u, v in g.edges])
         assert min_bisection_exact(g).width == min_bisection_exact(relabeled).width
-
-
-def test_min_bisection_budget_early_stop():
-    res = min_bisection_exact(cycle_graph(6), budget_b=3)
-    assert res.width <= 3 and not res.exhaustive
-    res = min_bisection_exact(cycle_graph(6), budget_b=1)
-    assert res.width == 2 and res.exhaustive  # nothing met the budget; full minimum
 
 
 def test_min_bisection_rejects_odd():

@@ -95,6 +95,11 @@ def test_iterative_summary_is_reproducible():
     b = spectral_summary(g)
     assert a.method == "iterative"
     assert (a.lambda2, a.mu2, a.mu_min) == (b.lambda2, b.mu2, b.mu_min)
+    # pinned values: any change to the Lanczos operators or start vector shows here
+    plain = spectral_summary(g, augmented=False)
+    pinned = [0.060667251573019665, 0.9544995613202315, -0.4556949030378187, 0.9393327484269803, -0.9409265373837591]
+    assert [a.lambda2, a.mu2, a.mu_min, plain.mu2, plain.mu_min] == pytest.approx(pinned, abs=1e-9)
+    assert plain.lambda2 == a.lambda2
 
 
 def test_propagate_zero_layers_identity():
