@@ -38,10 +38,6 @@ class Cut:
     vol_complement: int
     phi: Fraction
 
-    @property
-    def phi_float(self) -> float:
-        return float(self.phi)
-
 
 @dataclass(frozen=True)
 class BisectionResult:

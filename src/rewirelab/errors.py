@@ -52,10 +52,9 @@ class MalformedEdgeLine(RewireLabError):
 class ConvergenceFailure(RewireLabError):
     """Iterative eigensolver ran out of budget; carries the best estimate."""
 
-    def __init__(self, message: str, best_estimate=None, residual_bound=None):
+    def __init__(self, message: str, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
-        self.residual_bound = residual_bound
 
 
 class ExactLimitExceeded(RewireLabError):
@@ -123,9 +122,3 @@ class PadCompletionFailure(RewireLabError):
 
 class ConstantConditionViolated(RewireLabError):
     pass
-
-
-class VerificationMismatch(RewireLabError):
-    def __init__(self, message: str, diffs=None):
-        super().__init__(message)
-        self.diffs = diffs or []

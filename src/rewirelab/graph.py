@@ -290,6 +290,18 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+def _pair_stubs(stubs: Sequence[int]) -> set[Pair] | None:
+    """Edges joining consecutive stubs, or None if a pair is a self-loop or repeats."""
+    pairs: set[Pair] = set()
+    for i in range(0, len(stubs), 2):
+        u, v = stubs[i], stubs[i + 1]
+        pair = (u, v) if u < v else (v, u)
+        if u == v or pair in pairs:
+            return None
+        pairs.add(pair)
+    return pairs
+
+
 def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 500) -> Graph:
     """Configuration-model sampling, retried until the pairing is simple.
 
@@ -312,19 +324,8 @@ def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 500) -> G
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(max_retries):
         rng.shuffle(stubs)
-        pairs = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            cp = (u, v) if u < v else (v, u)
-            if cp in pairs:
-                ok = False
-                break
-            pairs.add(cp)
-        if ok:
+        pairs = _pair_stubs(stubs)
+        if pairs is not None:
             return Graph(n=n, edges=frozenset(pairs))
     raise InfeasibleParameters(
         f"no simple {d}-regular pairing on {n} vertices found in {max_retries} tries"

@@ -6,9 +6,11 @@ expander-like completion.  Thresholds are exact rationals; constants come in a
 configured flavour (validated against the constant conditions the hardness
 argument needs) and a measured
 flavour (enumerated tight values on the finite instance).  Verification
-recomputes everything from scratch and records the inequality chains of both
-proof directions; biconditional agreement is recorded, never asserted, because
-finite instances cannot honour asymptotic constants.
+recomputes everything from scratch and records the inequality chain of the
+proof direction the bisection answer selects, marking the other as not
+applicable; biconditional agreement is recorded, never asserted, because
+finite instances cannot honour asymptotic constants.  This module alone knows
+the certificate format: it writes certificates and checks the ones it reads.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .errors import (
     DegreeTooHigh,
     ExactLimitExceeded,
     InfeasibleParameters,
+    MalformedHeader,
     PadCompletionFailure,
 )
-from .graph import Graph, build_graph, complete_graph, cycle_graph, matrix_of, parse_graph, random_regular_graph, serialize_graph
+from .graph import Graph, _pair_stubs, build_graph, complete_graph, cycle_graph, matrix_of, parse_graph, random_regular_graph, serialize_graph
 from .rewiring import GrocInstance, GrosInstance
 from .spectral import spectral_summary
 from .sturm import exact_mu2_leq
@@ -217,22 +220,10 @@ def embed_instance(
     stubs_template = [n + u for u in range(n) for _ in range(residual[u])]
     last_error = "no attempts made"
     for attempt in range(max_retries):
-        rng = random.Random(seed + 104729 * attempt)
         stubs = list(stubs_template)
-        rng.shuffle(stubs)
-        pad_edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            a, b = stubs[i], stubs[i + 1]
-            if a == b:
-                ok = False
-                break
-            pair = (a, b) if a < b else (b, a)
-            if pair in pad_edges:
-                ok = False
-                break
-            pad_edges.add(pair)
-        if not ok:
+        random.Random(seed + 104729 * attempt).shuffle(stubs)
+        pad_edges = _pair_stubs(stubs)
+        if pad_edges is None:
             last_error = "stub pairing produced a self-loop or duplicate"
             continue
         certified = _pad_internal_lambda2(n, pad_edges, n)
@@ -410,6 +401,28 @@ def scale_instance_between(
 # -- reductions --------------------------------------------------------------------
 
 
+def _certificate(
+    kind: str,
+    inst: BisectionInstance,
+    consts: ReductionConstants,
+    threshold: Fraction,
+    floor: float,
+    seed: int,
+    retries: int,
+) -> ReductionCertificate:
+    """Embed H and record the inputs of the reduction, before verification."""
+    return ReductionCertificate(
+        kind=kind,
+        instance=inst,
+        seed=seed,
+        pad_expander_floor=floor,
+        max_retries=retries,
+        constants=consts,
+        threshold=threshold,
+        embedding=embed_instance(inst.h, floor, seed, retries),
+    )
+
+
 def reduce_to_groc(
     inst: BisectionInstance,
     consts: ReductionConstants,
@@ -430,19 +443,8 @@ def reduce_to_groc(
         raise ConstantConditionViolated(
             f"phi0 = {phi0} outside [0,1]; pre-scale the instance (n/2 <= B <= 2n)"
         )
-    emb = embed_instance(inst.h, pad_expander_floor, seed, max_retries)
-    target = GrocInstance(graph=emb.g, budget_k=0, phi0=phi0)
-    cert = ReductionCertificate(
-        kind="groc",
-        instance=inst,
-        seed=seed,
-        pad_expander_floor=pad_expander_floor,
-        max_retries=max_retries,
-        constants=consts,
-        threshold=phi0,
-        embedding=emb,
-    )
-    return target, cert
+    cert = _certificate("groc", inst, consts, phi0, pad_expander_floor, seed, max_retries)
+    return GrocInstance(graph=cert.embedding.g, budget_k=0, phi0=phi0), cert
 
 
 def reduce_to_gros(
@@ -477,77 +479,73 @@ def reduce_to_gros(
     epsilon = min(eps_candidates)
     if epsilon <= 0:
         raise InfeasibleParameters(f"epsilon = {epsilon} must be positive")
-    tau = 1 - 2 * consts.c1 * Fraction(b + n, n) - epsilon
+    tau = headroom - epsilon
     consts = replace(consts, epsilon=epsilon)
-    emb = embed_instance(inst.h, pad_expander_floor, seed, max_retries)
-    target = GrosInstance(graph=emb.g, budget_k=0, tau=tau, mode="signed")
-    cert = ReductionCertificate(
-        kind="gros",
-        instance=inst,
-        seed=seed,
-        pad_expander_floor=pad_expander_floor,
-        max_retries=max_retries,
-        constants=consts,
-        threshold=tau,
-        embedding=emb,
-    )
-    return target, cert
+    cert = _certificate("gros", inst, consts, tau, pad_expander_floor, seed, max_retries)
+    return GrosInstance(graph=cert.embedding.g, budget_k=0, tau=tau, mode="signed"), cert
 
 
 # -- verification ---------------------------------------------------------------------
+
+
+def _witness_terms(cert: ReductionCertificate, witness: tuple[int, ...], measured: ReductionConstants) -> dict:
+    """phi_G(S u U) for the bisection witness S against c1 (B+n)/n, configured and measured."""
+    n, b = cert.instance.h.n, cert.instance.b
+    phi_x = conductance_of(cert.embedding.g, set(witness) | set(cert.embedding.pad_vertices)).phi
+    measured_bound = measured.c1 * Fraction(b + n, n)
+    return {
+        "applicable": True,
+        "witness_cut_conductance": phi_x,
+        "configured_bound": cert.constants.c1 * Fraction(b + n, n),
+        "measured_bound": measured_bound,
+        "holds_with_measured": phi_x <= measured_bound,
+    }
+
+
+def _extraction_terms(h: Graph, min_cut_side: tuple[int, ...]) -> dict:
+    """The side S = X n V of a minimum cut X of G, its width in H, and its balanced version.
+
+    `balanced_side` is None when S is empty or all of V, and then no balance terms follow.
+    """
+    s = tuple(v for v in min_cut_side if v < h.n)
+    terms: dict = {"extracted_side": s, "extracted_width": _boundary_and_volumes(h, set(s))[0], "balanced_side": None}
+    if 0 < len(s) < h.n:
+        balanced, factor = balance_cut(h, s)
+        terms["balanced_side"] = balanced
+        terms["balanced_width"] = _boundary_and_volumes(h, set(balanced))[0]
+        terms["balance_factor"] = factor
+    return terms
 
 
 def _forward_chain_groc(
     cert: ReductionCertificate, witness: tuple[int, ...], measured: ReductionConstants
 ) -> dict:
     """phi_G(S u U) <= c1 (B+n)/n = 1 - phi0 < phi0 for the bisection witness S."""
-    inst = cert.instance
-    n, b = inst.h.n, inst.b
-    x = set(witness) | set(cert.embedding.pad_vertices)
-    phi_x = conductance_of(cert.embedding.g, x).phi
-    bound = cert.constants.c1 * Fraction(b + n, n)
-    measured_bound = measured.c1 * Fraction(b + n, n)
-    return {
-        "applicable": True,
-        "witness_cut_conductance": phi_x,
-        "configured_bound": bound,
-        "measured_bound": measured_bound,
-        "one_minus_threshold": 1 - cert.threshold,
-        "holds_with_configured": phi_x <= bound,
-        "holds_with_measured": phi_x <= measured_bound,
-        "threshold_above_half": cert.threshold > Fraction(1, 2),
-    }
+    terms = _witness_terms(cert, witness, measured)
+    terms["one_minus_threshold"] = 1 - cert.threshold
+    terms["holds_with_configured"] = terms["witness_cut_conductance"] <= terms["configured_bound"]
+    terms["threshold_above_half"] = cert.threshold > Fraction(1, 2)
+    return terms
 
 
 def _reverse_chain_groc(cert: ReductionCertificate, min_cut_side: tuple[int, ...], phi_g: Fraction) -> dict:
     """Extraction + balancing chain evaluated on the actual minimum cut of G."""
-    inst = cert.instance
-    h, b = inst.h, inst.b
-    n = h.n
-    s = tuple(v for v in min_cut_side if v < n)
-    terms: dict = {
-        "applicable": True,
-        "min_cut_conductance": phi_g,
-        "threshold": cert.threshold,
-        "hypothesis_phi_below_threshold": phi_g < cert.threshold,
-        "extracted_side": s,
-    }
-    width = _boundary_and_volumes(h, set(s))[0]
-    terms["extracted_width"] = width
-    terms["extraction_bound_configured"] = cert.constants.c2 * phi_g * n
-    terms["extraction_holds_configured"] = Fraction(width) <= cert.constants.c2 * phi_g * n
-    if 0 < len(s) < n:
-        balanced, factor = balance_cut(h, s)
-        bal_width = _boundary_and_volumes(h, set(balanced))[0]
-        terms["balanced_side"] = balanced
-        terms["balanced_width"] = bal_width
-        terms["balance_factor"] = factor
-        terms["balance_bound_configured"] = cert.constants.c3 * width
-        terms["contradiction_bound"] = cert.constants.c2 * cert.constants.c3 * cert.threshold * n
-        terms["balanced_width_below_budget"] = bal_width < max(b, 1)
-    else:
-        terms["balanced_side"] = None
-    terms["conclusion_phi_at_least_threshold"] = phi_g >= cert.threshold
+    h, b = cert.instance.h, cert.instance.b
+    c2, c3 = cert.constants.c2, cert.constants.c3
+    terms = _extraction_terms(h, min_cut_side)
+    terms.update(
+        applicable=True,
+        min_cut_conductance=phi_g,
+        threshold=cert.threshold,
+        hypothesis_phi_below_threshold=phi_g < cert.threshold,
+        extraction_bound_configured=c2 * phi_g * h.n,
+        extraction_holds_configured=terms["extracted_width"] <= c2 * phi_g * h.n,
+        conclusion_phi_at_least_threshold=phi_g >= cert.threshold,
+    )
+    if terms["balanced_side"] is not None:
+        terms["balance_bound_configured"] = c3 * terms["extracted_width"]
+        terms["contradiction_bound"] = c2 * c3 * cert.threshold * h.n
+        terms["balanced_width_below_budget"] = terms["balanced_width"] < max(b, 1)
     return terms
 
 
@@ -559,54 +557,38 @@ def _forward_chain_gros(
     measured: ReductionConstants,
 ) -> dict:
     """Cut witness -> Cheeger -> lambda2 small -> mu2 above tau."""
-    inst = cert.instance
-    n, b = inst.h.n, inst.b
-    x = set(witness) | set(cert.embedding.pad_vertices)
-    phi_x = conductance_of(cert.embedding.g, x).phi
-    delta_bound = 2 * cert.constants.c1 * Fraction(b + n, n)
-    return {
-        "applicable": True,
-        "witness_cut_conductance": phi_x,
-        "configured_bound": cert.constants.c1 * Fraction(b + n, n),
-        "measured_bound": measured.c1 * Fraction(b + n, n),
-        "holds_with_measured": phi_x <= measured.c1 * Fraction(b + n, n),
-        "cheeger_lambda2_bound": delta_bound,
-        "lambda2_measured": lambda2_g,
-        "lambda2_within_bound": lambda2_g <= float(delta_bound) + 1e-9,
-        "mu2_exceeds_tau": mu2_excess,
-    }
+    terms = _witness_terms(cert, witness, measured)
+    delta_bound = 2 * terms["configured_bound"]
+    terms["cheeger_lambda2_bound"] = delta_bound
+    terms["lambda2_measured"] = lambda2_g
+    terms["lambda2_within_bound"] = lambda2_g <= float(delta_bound) + 1e-9
+    terms["mu2_exceeds_tau"] = mu2_excess
+    return terms
 
 
 def _reverse_chain_gros(cert: ReductionCertificate, lambda2_g: float, mu2_leq_tau: bool) -> dict:
     """delta, sqrt(2 delta) and the extraction/balancing contradiction terms."""
-    inst = cert.instance
-    h, b = inst.h, inst.b
+    h, b = cert.instance.h, cert.instance.b
     n = h.n
-    eps = cert.constants.epsilon
-    delta = 2 * cert.constants.c1 * Fraction(b + n, n) + eps
+    c1 = cert.constants.c1
+    delta = 2 * c1 * Fraction(b + n, n) + cert.constants.epsilon
     sqrt_2_delta = float(2 * delta) ** 0.5
-    eps_cut = 2.0 * float(3 * cert.constants.c1 * Fraction(max(b, 1), n)) ** 0.5
-    terms: dict = {
-        "applicable": True,
-        "delta": delta,
-        "sqrt_two_delta": sqrt_2_delta,
-        "cut_conductance_target": eps_cut,
-        "sqrt_bound_holds": sqrt_2_delta <= eps_cut + 1e-12,
-        "lambda2_measured": lambda2_g,
-        "extraction_bound": float(cert.constants.c2) * eps_cut * n,
-        "half_sqrt_bn": (float(b) * n) ** 0.5 / 2.0,
-        "conclusion_mu2_leq_tau": mu2_leq_tau,
-    }
+    eps_cut = 2.0 * float(3 * c1 * Fraction(max(b, 1), n)) ** 0.5
     cut = conductance_exact(cert.embedding.g)
-    s = tuple(v for v in cut.subset if v < n)
-    terms["min_cut_conductance"] = cut.phi
-    terms["extracted_side"] = s
-    width = _boundary_and_volumes(h, set(s))[0]
-    terms["extracted_width"] = width
-    if 0 < len(s) < n:
-        balanced, factor = balance_cut(h, s)
-        terms["balanced_width"] = _boundary_and_volumes(h, set(balanced))[0]
-        terms["balance_factor"] = factor
+    terms = _extraction_terms(h, cut.subset)
+    del terms["balanced_side"]  # spectral certificates record only the balanced width and factor
+    terms.update(
+        applicable=True,
+        delta=delta,
+        sqrt_two_delta=sqrt_2_delta,
+        cut_conductance_target=eps_cut,
+        sqrt_bound_holds=sqrt_2_delta <= eps_cut + 1e-12,
+        lambda2_measured=lambda2_g,
+        extraction_bound=float(cert.constants.c2) * eps_cut * n,
+        half_sqrt_bn=(float(b) * n) ** 0.5 / 2.0,
+        conclusion_mu2_leq_tau=mu2_leq_tau,
+        min_cut_conductance=cut.phi,
+    )
     return terms
 
 
@@ -615,11 +597,13 @@ def verify_reduction(
     cert: ReductionCertificate,
     h_limit: int = VERIFY_H_LIMIT,
 ) -> ReductionCertificate:
-    """Recompute bisection truth and graph value, evaluate both proof chains.
+    """Recompute bisection truth and graph value, evaluate the selected proof chain.
 
-    Returns the completed certificate.  Agreement is whether the reduction's
-    biconditional (bisection width <= B iff rewiring instance is NO) held on
-    this finite instance with the configured constants.
+    The bisection answer selects the proof direction: its chain is evaluated
+    and the other is recorded as {"applicable": False}.  Returns the completed
+    certificate.  Agreement is whether the reduction's biconditional (bisection
+    width <= B iff rewiring instance is NO) held on this finite instance with
+    the configured constants.
     """
     if inst != cert.instance:
         raise InfeasibleParameters("certificate does not belong to this instance")
@@ -633,69 +617,43 @@ def verify_reduction(
 
     if cert.kind == "groc":
         cut = conductance_exact(g)
-        phi_g = cut.phi
-        rewiring_no = phi_g < cert.threshold
-        forward = (
+        rewiring_no = cut.phi < cert.threshold
+        values = {"graph_value": float(cut.phi), "graph_phi": cut.phi}
+        chain = (
             _forward_chain_groc(cert, truth.partition, measured)
             if bisection_yes
-            else {"applicable": False}
+            else _reverse_chain_groc(cert, cut.subset, cut.phi)
         )
-        reverse = (
-            _reverse_chain_groc(cert, cut.subset, phi_g)
-            if not bisection_yes
-            else {"applicable": False}
+    else:
+        mu2_leq_tau = exact_mu2_leq(g, cert.threshold, mode="signed")
+        mu2_float = float(np.linalg.eigvalsh(matrix_of(g, "propagation"))[-2])
+        lambda2_g = spectral_summary(g).lambda2
+        rewiring_no = not mu2_leq_tau
+        values = {"graph_value": mu2_float, "mu2_leq_tau": mu2_leq_tau}
+        chain = (
+            _forward_chain_gros(cert, truth.partition, lambda2_g, rewiring_no, measured)
+            if bisection_yes
+            else _reverse_chain_gros(cert, lambda2_g, mu2_leq_tau)
         )
-        return replace(
-            cert,
-            measured=measured,
-            bisection_width=truth.width,
-            bisection_witness=truth.partition,
-            graph_value=float(phi_g),
-            graph_phi=phi_g,
-            forward_check=forward,
-            reverse_check=reverse,
-            agreement=bisection_yes == rewiring_no,
-        )
-
-    # gros
-    mu2_leq_tau = exact_mu2_leq(g, cert.threshold, mode="signed")
-    prop = matrix_of(g, "propagation")
-    mu2_float = float(np.linalg.eigvalsh(prop)[-2])
-    lambda2_g = spectral_summary(g).lambda2
-    rewiring_no = not mu2_leq_tau
-    forward = (
-        _forward_chain_gros(cert, truth.partition, lambda2_g, rewiring_no, measured)
-        if bisection_yes
-        else {"applicable": False}
-    )
-    reverse = (
-        _reverse_chain_gros(cert, lambda2_g, mu2_leq_tau)
-        if not bisection_yes
-        else {"applicable": False}
-    )
+    idle = {"applicable": False}
     return replace(
         cert,
         measured=measured,
         bisection_width=truth.width,
         bisection_witness=truth.partition,
-        graph_value=mu2_float,
-        mu2_leq_tau=mu2_leq_tau,
-        forward_check=forward,
-        reverse_check=reverse,
+        forward_check=chain if bisection_yes else idle,
+        reverse_check=idle if bisection_yes else chain,
         agreement=bisection_yes == rewiring_no,
+        **values,
     )
 
 
 # -- certificate serialization ----------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return _frac_str(value)
+        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float):
@@ -709,53 +667,78 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _constants_json(consts: ReductionConstants | None):
-    if consts is None:
-        return None
-    out = {"c1": _frac_str(consts.c1), "c2": _frac_str(consts.c2), "c3": _frac_str(consts.c3)}
-    if consts.epsilon is not None:
-        out["epsilon"] = _frac_str(consts.epsilon)
-    return out
+def _constants_json(consts: ReductionConstants | None) -> dict | None:
+    return None if consts is None else {k: v for k, v in vars(consts).items() if v is not None}
 
 
 def certificate_to_json(cert: ReductionCertificate) -> dict:
-    return {
+    emb = cert.embedding
+    return _jsonable({
         "kind": cert.kind,
         "instance": {"graph": serialize_graph(cert.instance.h), "budget": cert.instance.b},
         "seed": cert.seed,
-        "pad_expander_floor": repr(float(cert.pad_expander_floor)),
+        "pad_expander_floor": float(cert.pad_expander_floor),
         "max_retries": cert.max_retries,
         "constants": _constants_json(cert.constants),
-        "threshold": _frac_str(cert.threshold),
+        "threshold": cert.threshold,
         "inverted": cert.inverted,
         "embedding": {
-            "graph": serialize_graph(cert.embedding.g),
-            "original_vertices": list(cert.embedding.original_vertices),
-            "pad_vertices": list(cert.embedding.pad_vertices),
-            "certified_lambda2": repr(cert.embedding.certified_lambda2),
+            "graph": serialize_graph(emb.g),
+            "original_vertices": emb.original_vertices,
+            "pad_vertices": emb.pad_vertices,
+            "certified_lambda2": emb.certified_lambda2,
         },
         "measured_constants": _constants_json(cert.measured),
         "bisection": None
         if cert.bisection_width is None
-        else {"width": cert.bisection_width, "witness": list(cert.bisection_witness)},
-        "graph_value": None if cert.graph_value is None else repr(cert.graph_value),
-        "graph_phi": None if cert.graph_phi is None else _frac_str(cert.graph_phi),
+        else {"width": cert.bisection_width, "witness": cert.bisection_witness},
+        "graph_value": cert.graph_value,
+        "graph_phi": cert.graph_phi,
         "mu2_leq_tau": cert.mu2_leq_tau,
-        "forward_check": _jsonable(cert.forward_check),
-        "reverse_check": _jsonable(cert.reverse_check),
+        "forward_check": cert.forward_check,
+        "reverse_check": cert.reverse_check,
         "agreement": cert.agreement,
-    }
+    })
 
 
 def certificate_json_text(cert: ReductionCertificate) -> str:
     return json.dumps(certificate_to_json(cert), sort_keys=True, indent=2) + "\n"
 
 
+#: What `rebuild_certificate` reads, with the JSON types `certificate_to_json` writes.
+_CERTIFICATE_INPUTS = {
+    "kind": str,
+    "instance": {"graph": str, "budget": int},
+    "constants": {"c1": str, "c2": str, "c3": str},
+    "seed": int,
+    "pad_expander_floor": str,
+    "max_retries": int,
+}
+
+
+def _mistyped_fields(value, shape: dict, path: str = "certificate") -> list[str]:
+    """The fields of `shape` that `value` lacks or holds with another type."""
+    if not isinstance(value, dict):
+        return [path]
+    bad = []
+    for key, kind in shape.items():
+        if isinstance(kind, dict):
+            bad += _mistyped_fields(value.get(key), kind, f"{path}.{key}")
+        elif not isinstance(value.get(key), kind):
+            bad.append(f"{path}.{key}")
+    return bad
+
+
 def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> ReductionCertificate:
     """Reconstruct and re-verify a certificate from its recorded inputs.
 
-    `h_limit` caps the instance size of the re-verification, as in `verify_reduction`.
+    Raises MalformedHeader when an input is missing or has another JSON type
+    than `certificate_to_json` writes.  `h_limit` caps the instance size of the
+    re-verification, as in `verify_reduction`.
     """
+    bad = _mistyped_fields(cert_json, _CERTIFICATE_INPUTS)
+    if bad:
+        raise MalformedHeader(f"not a reduction certificate: {', '.join(bad)} missing or mistyped")
     inst = BisectionInstance(
         h=parse_graph(cert_json["instance"]["graph"]), b=int(cert_json["instance"]["budget"])
     )
@@ -765,6 +748,7 @@ def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> Reduc
         c2=Fraction(raw_consts["c2"]),
         c3=Fraction(raw_consts["c3"]),
     )
+    # int() also turns a JSON true, which passes the int check, into 1
     seed = int(cert_json["seed"])
     floor = float(cert_json["pad_expander_floor"])
     retries = int(cert_json["max_retries"])

@@ -247,37 +247,25 @@ def effective_resistance(g: Graph, u: int, v: int, dense_limit: int = DENSE_LIMI
         return float(pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])
     # Larger graphs: ground v (x_v = 0) and solve the reduced SPD Laplacian system,
     # leaving r = x_u directly.
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    in_comp = set(comp)
     keep = [vert for vert in comp if vert != v]
-    pos = {vert: i for i, vert in enumerate(keep)}
-    rows, cols, vals = [], [], []
-    for a, b in g.edges:
-        if a in in_comp and b in in_comp and a != v and b != v:
-            rows += [pos[a], pos[b]]
-            cols += [pos[b], pos[a]]
-            vals += [-1.0, -1.0]
-    rows += list(range(len(keep)))
-    cols += list(range(len(keep)))
-    vals += [float(g.degrees[vert]) for vert in keep]
-    lap_red = sp.csc_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(len(keep), len(keep)))
+    lap_red = matrix_of(g, "combinatorial_laplacian", dense_limit=dense_limit)[keep][:, keep].tocsc()
     b_vec = np.zeros(len(keep))
-    b_vec[pos[u]] = 1.0
+    b_vec[keep.index(u)] = 1.0
     x = spla.spsolve(lap_red, b_vec)
-    return float(x[pos[u]])
+    return float(x[keep.index(u)])
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
     """All-pairs effective resistance; cross-component entries are +inf."""
     r = np.full((g.n, g.n), np.inf)
     np.fill_diagonal(r, 0.0)
+    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=max(g.n, 1))
     for comp in g.connected_components():
         if len(comp) == 1:
             continue
         idx = np.array(comp)
-        lap = matrix_of(g, "combinatorial_laplacian", dense_limit=max(g.n, 1))
         sub = lap[np.ix_(idx, idx)]
         pinv = np.linalg.pinv(sub)
         d = np.diag(pinv)

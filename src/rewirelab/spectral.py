@@ -51,7 +51,15 @@ def _lanczos_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _second_largest_iterative(mat, top_vec: np.ndarray, tol: float, maxiter: int):
+def _eigsh_extreme(op, which: str):
+    """One extreme eigenpair by ARPACK at tolerance 1e-10 within 50 n iterations."""
+    import scipy.sparse.linalg as spla
+
+    n = op.shape[0]
+    return spla.eigsh(op, k=1, which=which, tol=1e-10, maxiter=50 * n, v0=_lanczos_start(n))
+
+
+def _second_largest_iterative(mat, top_vec: np.ndarray):
     """Largest eigenpair after deflating the known top eigenvector (eigenvalue 1).
 
     Shifting the top eigenvalue to -2 keeps everything else in [-1, 1], so the
@@ -65,7 +73,7 @@ def _second_largest_iterative(mat, top_vec: np.ndarray, tol: float, maxiter: int
         return mat @ x - 3.0 * np.dot(top_vec, x) * top_vec
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    vals, vecs = spla.eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=_lanczos_start(n))
+    vals, vecs = _eigsh_extreme(op, "LA")
     theta = float(vals[0])
     x = vecs[:, 0]
     x = x - np.dot(top_vec, x) * top_vec
@@ -78,8 +86,6 @@ def spectral_summary(
     g: Graph,
     augmented: bool = True,
     dense_limit: int = DENSE_LIMIT,
-    tol: float = 1e-10,
-    maxiter: int | None = None,
 ) -> SpectralSummary:
     """Compute lambda2, mu2, mu_min and the decay slack for a graph.
 
@@ -90,7 +96,7 @@ def spectral_summary(
     n = g.n
     if n == 0:
         raise DimensionMismatch("empty graph")
-    if n >= 1 and min(g.degrees, default=1) == 0 and n > 1:
+    if n > 1 and min(g.degrees) == 0:
         bad = g.degrees.index(0)
         raise IsolatedVertex(f"vertex {bad} has degree 0; spectral summary undefined")
     connected = g.is_connected()
@@ -121,30 +127,24 @@ def spectral_summary(
     d_eff = deg + 1.0 if augmented else deg
     norm_adj = matrix_of(g, "propagation", augmented=False, dense_limit=dense_limit)
     prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=dense_limit)
-    maxiter = maxiter if maxiter is not None else 50 * n
-    arpack_tol = min(tol, 1e-10)
 
     try:
         residuals = []
         if connected:
             # lambda2 = 1 - (second largest eigenvalue of D^{-1/2} A D^{-1/2})
-            theta, r1 = _second_largest_iterative(
-                norm_adj, _top_eigvec_normalized_adjacency(deg), arpack_tol, maxiter
-            )
+            theta, r1 = _second_largest_iterative(norm_adj, _top_eigvec_normalized_adjacency(deg))
             lambda2 = 1.0 - theta
-            mu2, r2 = _second_largest_iterative(
-                prop, _top_eigvec_normalized_adjacency(d_eff), arpack_tol, maxiter
-            )
+            mu2, r2 = _second_largest_iterative(prop, _top_eigvec_normalized_adjacency(d_eff))
             residuals += [r1, r2]
         else:
             lambda2 = 0.0
             mu2 = 1.0
-        vals, vecs = spla.eigsh(prop, k=1, which="SA", tol=arpack_tol, maxiter=maxiter, v0=_lanczos_start(n))
+        vals, vecs = _eigsh_extreme(prop, "SA")
         mu_min = float(vals[0])
         residuals.append(float(np.linalg.norm(prop @ vecs[:, 0] - mu_min * vecs[:, 0])))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(
-            f"eigensolver did not converge within {maxiter} iterations",
+            f"eigensolver did not converge within {50 * n} iterations",
             best_estimate=getattr(exc, "eigenvalues", None),
         ) from exc
     return SpectralSummary(

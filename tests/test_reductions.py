@@ -274,3 +274,51 @@ def test_certificate_tamper_detected():
     from rewirelab import certificate_to_json
 
     assert certificate_to_json(rebuilt)["threshold"] != recorded["threshold"]
+
+
+_GROC_FORWARD = [
+    "applicable", "configured_bound", "holds_with_configured", "holds_with_measured", "measured_bound",
+    "one_minus_threshold", "threshold_above_half", "witness_cut_conductance",
+]
+_GROS_FORWARD = [
+    "applicable", "cheeger_lambda2_bound", "configured_bound", "holds_with_measured", "lambda2_measured",
+    "lambda2_within_bound", "measured_bound", "mu2_exceeds_tau", "witness_cut_conductance",
+]
+_GROC_REVERSE = [
+    "applicable", "balanced_side", "conclusion_phi_at_least_threshold", "extracted_side", "extracted_width",
+    "extraction_bound_configured", "extraction_holds_configured", "hypothesis_phi_below_threshold",
+    "min_cut_conductance", "threshold",
+]
+_GROC_REVERSE_BALANCED = sorted(
+    _GROC_REVERSE
+    + ["balance_bound_configured", "balance_factor", "balanced_width", "balanced_width_below_budget", "contradiction_bound"]
+)
+_GROS_REVERSE = [
+    "applicable", "conclusion_mu2_leq_tau", "cut_conductance_target", "delta", "extracted_side", "extracted_width",
+    "extraction_bound", "half_sqrt_bn", "lambda2_measured", "min_cut_conductance", "sqrt_bound_holds", "sqrt_two_delta",
+]
+_GROS_REVERSE_BALANCED = sorted(_GROS_REVERSE + ["balance_factor", "balanced_width"])
+_PATH_4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "kind, h, b, forward, reverse",
+    [
+        ("groc", cycle_graph(4), 2, _GROC_FORWARD, ["applicable"]),
+        ("gros", cycle_graph(4), 2, _GROS_FORWARD, ["applicable"]),
+        ("groc", cycle_graph(4), 0, ["applicable"], _GROC_REVERSE),
+        ("gros", cycle_graph(4), 0, ["applicable"], _GROS_REVERSE),
+        ("groc", _PATH_4, 0, ["applicable"], _GROC_REVERSE_BALANCED),
+        ("gros", _PATH_4, 0, ["applicable"], _GROS_REVERSE_BALANCED),
+    ],
+)
+def test_certificate_chain_keys(kind, h, b, forward, reverse):
+    """The chain keys a certificate records, per kind and proof direction."""
+    inst = BisectionInstance(h, b)
+    if kind == "groc":
+        _, cert = reduce_to_groc(inst, GROC_CONSTS, seed=5)
+    else:
+        _, cert = reduce_to_gros(inst, GROS_CONSTS, seed=5, require_scaled=False)
+    done = verify_reduction(inst, cert)
+    assert sorted(done.forward_check) == forward
+    assert sorted(done.reverse_check) == reverse

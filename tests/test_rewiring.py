@@ -154,11 +154,16 @@ def test_effective_resistance_errors():
 
 
 def test_effective_resistance_solver_path_matches_dense():
-    g = make_connected(random.Random(29), 9)
-    for u, v in [(0, 5), (2, 7), (1, 8)]:
-        dense = effective_resistance(g, u, v)
-        solved = effective_resistance(g, u, v, dense_limit=2)
-        assert abs(dense - solved) < 1e-9
+    rng = random.Random(29)
+    g = make_connected(rng, 9)
+    # a second component on vertices 9..14: the solver grounds only the pair's component
+    tail = make_connected(rng, 6)
+    two_parts = build_graph(15, list(g.edges) + [(a + 9, b + 9) for a, b in tail.edges])
+    for graph, pairs in [(g, [(0, 5), (2, 7), (1, 8)]), (two_parts, [(0, 5), (1, 8), (9, 14), (10, 12)])]:
+        for u, v in pairs:
+            dense = effective_resistance(graph, u, v)
+            solved = effective_resistance(graph, u, v, dense_limit=2)
+            assert abs(dense - solved) < 1e-9
 
 
 def test_effective_resistance_is_a_metric():
