@@ -331,7 +331,7 @@ def _diff_json(a, b, path="") -> list[str]:
         for i, (x, y) in enumerate(zip(a, b)):
             diffs += _diff_json(x, y, f"{path}[{i}]")
         return diffs
-    if a != b:
+    if type(a) is not type(b) or a != b:  # JSON true is not 1, though True == 1 in Python
         return [f"{path}: recorded {a!r} != recomputed {b!r}"]
     return []
 

@@ -24,6 +24,8 @@ from .spectral import SpectralSummary, _lanczos_start
 EXACT_CONDUCTANCE_LIMIT = 24
 #: Default ceiling for exhaustive balanced-partition enumeration.
 EXACT_BISECTION_LIMIT = 20
+#: The sweep cut takes a dense eigh of the normalized Laplacian up to this order, Lanczos above.
+SWEEP_DENSE_LIMIT = 2048
 #: log2 of the number of sides in one chunk of the cut table.
 _CHUNK_BITS = 14
 
@@ -185,16 +187,14 @@ def conductance_sweep(g: Graph) -> Cut:
     comps = g.connected_components()
     if len(comps) > 1:
         return _cut_of(g, comps[0])
-    lap = matrix_of(g, "normalized_laplacian")
-    if g.n <= 2048:
-        lap = np.asarray(lap.todense()) if not isinstance(lap, np.ndarray) else lap
+    lap = matrix_of(g, "normalized_laplacian", dense_limit=SWEEP_DENSE_LIMIT)
+    if isinstance(lap, np.ndarray):
         _, vecs = np.linalg.eigh(lap)
-        fiedler = vecs[:, 1]
     else:
         import scipy.sparse.linalg as spla
 
         _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
-        fiedler = vecs[:, 1]
+    fiedler = vecs[:, 1]
     order = sorted(range(g.n), key=lambda v: (fiedler[v], v))
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)

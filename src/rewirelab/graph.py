@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,89 +183,52 @@ def edit_set_between(original: Graph, modified: Graph) -> EditSet:
 def matrix_of(g: Graph, kind: str, augmented: bool = True, dense_limit: int = DENSE_LIMIT):
     """Return the requested n x n matrix view of the graph.
 
-    The two propagation kinds use the self-loop augmented pair (A+I, D+I) when
-    `augmented` is true (the default); with `augmented=False` they fall back to
-    the plain normalized forms, which require every degree to be positive.
-    The normalized Laplacian is always the non-augmented I - D^{-1/2} A D^{-1/2}.
-    Dense ndarray for n <= dense_limit, scaled by broadcasting; scipy CSR
-    beyond, and only that branch imports scipy.
+    Each kind is one formula: a value at both ends of every edge plus a
+    diagonal.  The normalized Laplacian is I - D^{-1/2} A D^{-1/2}.  The two
+    propagation kinds use the self-loop augmented pair (A+I, D+I) unless
+    `augmented` is false; then, like the Laplacian, they need every degree
+    positive.  `dense_limit` chooses the storage: a dense ndarray for
+    n <= dense_limit, a scipy CSR array beyond, and only that branch imports scipy.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}; expected one of {MATRIX_KINDS}")
     n = g.n
     deg = np.array(g.degrees, dtype=np.float64)
-    needs_positive_degree = kind == "normalized_laplacian" or (
-        kind in ("propagation", "row_stochastic_propagation") and not augmented
-    )
+    needs_positive_degree = kind == "normalized_laplacian" or (kind.endswith("propagation") and not augmented)
     if needs_positive_degree and n and deg.min() == 0:
-        isolated = int(np.argmin(deg))
-        raise IsolatedVertex(f"vertex {isolated} has degree 0; {kind} is undefined")
-    if n > dense_limit:
-        return _sparse_matrix_of(g, kind, augmented, deg)
+        raise IsolatedVertex(f"vertex {int(np.argmin(deg))} has degree 0; {kind} is undefined")
 
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    pairs = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m).reshape(-1, 2)
+    u, v = pairs.ravel(), pairs[:, ::-1].ravel()  # every edge end u, beside its partner v
+    d_eff = deg + 1.0 if augmented else deg  # the degrees the propagation kinds scale by
     if kind == "adjacency":
-        return a
-    if kind == "degree":
-        return np.diag(deg)
-    if kind == "combinatorial_laplacian":
-        return np.diag(deg) - a
-    if kind == "normalized_laplacian":
+        edge, diag = 1.0, 0.0
+    elif kind == "degree":
+        edge, diag = 0.0, deg
+    elif kind == "combinatorial_laplacian":
+        edge, diag = -1.0, deg
+    elif kind == "normalized_laplacian":
         s = 1.0 / np.sqrt(deg)
-        return np.eye(n) - s[:, None] * a * s[None, :]
-
-    d_eff = deg
-    if augmented:
-        a.flat[:: n + 1] += 1.0
-        d_eff = deg + 1.0
-    if kind == "propagation":
+        edge, diag = -(s[u] * s[v]), 1.0
+    elif kind == "propagation":
         s = 1.0 / np.sqrt(d_eff)
-        a *= s[:, None]
-        a *= s[None, :]
-        return a
-    # row_stochastic_propagation
-    a *= (1.0 / d_eff)[:, None]
-    return a
+        edge, diag = s[u] * s[v], (s * s if augmented else 0.0)
+    else:  # row_stochastic_propagation
+        r = 1.0 / d_eff
+        edge, diag = r[u], (r if augmented else 0.0)
+    diagonal = np.arange(n)
+    rows, cols = np.concatenate((u, diagonal)), np.concatenate((v, diagonal))
+    vals = np.empty(len(rows))
+    vals[: len(u)], vals[len(u) :] = edge, diag
 
-
-def _sparse_matrix_of(g: Graph, kind: str, augmented: bool, deg: np.ndarray):
-    """CSR form of `matrix_of` above the dense limit."""
+    if n <= dense_limit:
+        out = np.zeros((n, n))
+        out[rows, cols] = vals
+        return out
     import scipy.sparse as sp
 
-    n = g.n
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-    a = sp.csr_array((np.ones(len(rows)), (np.array(rows), np.array(cols))), shape=(n, n))
-
-    def diag(values):
-        return sp.diags_array(values, format="csr")
-
-    if kind == "adjacency":
-        return a
-    if kind == "degree":
-        return diag(deg)
-    if kind == "combinatorial_laplacian":
-        return diag(deg) - a
-    if kind == "normalized_laplacian":
-        s = 1.0 / np.sqrt(deg)
-        return diag(np.ones(n)) - (diag(s) @ a @ diag(s))
-
-    if augmented:
-        a_eff = a + diag(np.ones(n))
-        d_eff = deg + 1.0
-    else:
-        a_eff = a
-        d_eff = deg
-    if kind == "propagation":
-        s = 1.0 / np.sqrt(d_eff)
-        return diag(s) @ a_eff @ diag(s)
-    # row_stochastic_propagation
-    return diag(1.0 / d_eff) @ a_eff
+    keep = vals != 0.0
+    return sp.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 # -- generators -------------------------------------------------------------------

@@ -732,13 +732,14 @@ def _mistyped_fields(value, shape: dict, path: str = "certificate") -> list[str]
 def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> ReductionCertificate:
     """Reconstruct and re-verify a certificate from its recorded inputs.
 
-    Raises MalformedHeader when an input is missing or has another JSON type
-    than `certificate_to_json` writes.  `h_limit` caps the instance size of the
-    re-verification, as in `verify_reduction`.
+    Raises MalformedHeader when an input is missing, has another JSON type than
+    `certificate_to_json` writes, or is a kind other than groc and gros.
+    `h_limit` caps the instance size of the re-verification, as in `verify_reduction`.
     """
     bad = _mistyped_fields(cert_json, _CERTIFICATE_INPUTS)
-    if bad:
-        raise MalformedHeader(f"not a reduction certificate: {', '.join(bad)} missing or mistyped")
+    if bad or cert_json["kind"] not in ("groc", "gros"):
+        fields = ", ".join(bad or ["certificate.kind"])
+        raise MalformedHeader(f"not a reduction certificate: {fields} missing or mistyped")
     inst = BisectionInstance(
         h=parse_graph(cert_json["instance"]["graph"]), b=int(cert_json["instance"]["budget"])
     )

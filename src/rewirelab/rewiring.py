@@ -241,8 +241,8 @@ def effective_resistance(g: Graph, u: int, v: int, dense_limit: int = DENSE_LIMI
     comp = next(c for c in g.connected_components() if u in c)
     if v not in comp:
         raise DisconnectedPair(f"vertices {u} and {v} lie in different components")
-    if g.n <= dense_limit:
-        lap = matrix_of(g, "combinatorial_laplacian", dense_limit=dense_limit)
+    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=dense_limit)
+    if isinstance(lap, np.ndarray):
         pinv = np.linalg.pinv(lap)
         return float(pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])
     # Larger graphs: ground v (x_v = 0) and solve the reduced SPD Laplacian system,
@@ -250,7 +250,7 @@ def effective_resistance(g: Graph, u: int, v: int, dense_limit: int = DENSE_LIMI
     import scipy.sparse.linalg as spla
 
     keep = [vert for vert in comp if vert != v]
-    lap_red = matrix_of(g, "combinatorial_laplacian", dense_limit=dense_limit)[keep][:, keep].tocsc()
+    lap_red = lap[keep][:, keep].tocsc()
     b_vec = np.zeros(len(keep))
     b_vec[keep.index(u)] = 1.0
     x = spla.spsolve(lap_red, b_vec)
@@ -261,7 +261,7 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     """All-pairs effective resistance; cross-component entries are +inf."""
     r = np.full((g.n, g.n), np.inf)
     np.fill_diagonal(r, 0.0)
-    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=max(g.n, 1))
+    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=g.n)
     for comp in g.connected_components():
         if len(comp) == 1:
             continue
@@ -345,7 +345,7 @@ def ppr_matrix(g: Graph, alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"teleport probability must be in (0,1), got {alpha}")
     n = g.n
-    m_mat = matrix_of(g, "row_stochastic_propagation", dense_limit=max(n, DENSE_LIMIT))
+    m_mat = matrix_of(g, "row_stochastic_propagation", dense_limit=n)
     m_mat *= 1.0 - alpha
     np.subtract(0.0, m_mat, out=m_mat)  # 0 - x, not -x: zeros stay +0.0
     m_mat.flat[:: n + 1] += 1.0

@@ -172,14 +172,30 @@ def test_verify_tampered_certificate_exit_5(tmp_path, capsys, c4_file):
     assert any("threshold" in d for d in json.loads(out)["diffs"])
 
 
+def test_verify_boolean_seed_exit_5(tmp_path, capsys, c4_file):
+    # JSON true is not the integer 1, although Python compares True == 1
+    prefix = str(tmp_path / "red")
+    code, _, _ = run(capsys, "reduce", "groc", c4_file, "2", "--seed", "1", "--out-prefix", prefix)
+    assert code == 0
+    cert_path = tmp_path / "red.cert.json"
+    cert = json.loads(cert_path.read_text())
+    assert cert["seed"] == 1
+    cert["seed"] = True
+    cert_path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 5
+    assert [d for d in json.loads(out)["diffs"] if d.startswith("seed:")]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
         lambda cert: {k: v for k, v in cert.items() if k != "constants"},
         lambda cert: 5,
         lambda cert: {**cert, "instance": {**cert["instance"], "budget": None}},
+        lambda cert: {**cert, "kind": "foo"},
     ],
-    ids=["no-constants", "not-an-object", "null-budget"],
+    ids=["no-constants", "not-an-object", "null-budget", "unknown-kind"],
 )
 def test_verify_malformed_certificate_exit_2(tmp_path, capsys, c4_file, tamper):
     prefix = str(tmp_path / "red")

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +101,25 @@ def test_conductance_sweep_upper_bounds_exact():
     for _ in range(15):
         g = make_connected(rng, rng.randrange(4, 11))
         assert conductance_sweep(g).phi >= conductance_exact(g).phi
+
+
+_SWEEP_PROBE = """
+import json, sys
+from rewirelab import conductance_sweep, random_regular_graph
+g = random_regular_graph(600, 3, seed=1)
+conductance_sweep(g)
+print(json.dumps({"connected": g.is_connected(), "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_dense_sweep_never_imports_scipy():
+    # n = 600 is above DENSE_LIMIT but within the sweep's dense eigh
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert child == {"connected": True, "scipy": []}
 
 
 def test_conductance_sweep_disconnected_witness():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrix_reference
 from rewirelab import (
     Graph,
     apply_edits,
@@ -135,14 +136,65 @@ def test_sparse_backend_matches_dense():
     assert np.allclose(dense, sparse.todense())
 
 
+def _needs_positive_degree(kind, augmented):
+    return kind == "normalized_laplacian" or (
+        not augmented and kind in ("propagation", "row_stochastic_propagation")
+    )
+
+
 @pytest.mark.parametrize("augmented", [True, False])
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
 def test_dense_and_sparse_views_agree(kind, augmented):
-    g = random_regular_graph(24, 3, seed=4)
-    dense = matrix_of(g, kind, augmented=augmented)
-    sparse = matrix_of(g, kind, augmented=augmented, dense_limit=4)
-    assert isinstance(dense, np.ndarray)
-    assert np.array_equal(dense, sparse.toarray())
+    graphs = [random_regular_graph(24, 3, seed=4)]
+    if not _needs_positive_degree(kind, augmented):
+        graphs.append(build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]))  # vertex 7 isolated
+    for g in graphs:
+        dense = matrix_of(g, kind, augmented=augmented)
+        sparse = matrix_of(g, kind, augmented=augmented, dense_limit=4)
+        assert isinstance(dense, np.ndarray)
+        assert np.array_equal(dense, sparse.toarray())
+
+
+def _matrix_corpus():
+    """Seeded graphs for the builder's differential test: n = 1, edgeless,
+    isolated vertices, regular and G(n, p) graphs from sparse to dense."""
+    rng = random.Random(14)
+    graphs = [
+        build_graph(1, []),
+        build_graph(2, []),
+        build_graph(7, []),
+        build_graph(5, [(0, 1), (1, 2), (3, 1)]),
+        complete_graph(6),
+    ]
+    for n in (2, 3, 4, 6, 9, 13, 24, 40, 90, 200, 600):
+        for mean_degree in (0.8, 3.0, 8.0):
+            graphs.append(gnp_graph(n, min(1.0, mean_degree / n), seed=rng.randrange(1 << 30)))
+    for n, d in ((8, 3), (30, 4), (120, 3), (600, 3)):
+        graphs.append(random_regular_graph(n, d, seed=rng.randrange(1 << 30)))
+    return graphs
+
+
+@pytest.mark.parametrize("augmented", [True, False])
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_matrix_of_matches_reference_builders(kind, augmented):
+    for g in _matrix_corpus():
+        if _needs_positive_degree(kind, augmented) and 0 in g.degrees:
+            for build in (matrix_reference.matrix_of, matrix_of):
+                with pytest.raises(IsolatedVertex):
+                    build(g, kind, augmented=augmented)
+            continue
+        dense = matrix_of(g, kind, augmented=augmented, dense_limit=g.n)
+        want = matrix_reference.matrix_of(g, kind, augmented=augmented, dense_limit=g.n)
+        assert isinstance(dense, np.ndarray) and dense.dtype == want.dtype and dense.shape == want.shape
+        assert dense.tobytes() == want.tobytes(), (g, kind, augmented)
+        sparse = matrix_of(g, kind, augmented=augmented, dense_limit=g.n - 1)
+        want = matrix_reference.matrix_of(g, kind, augmented=augmented, dense_limit=g.n - 1)
+        assert sparse.format == "csr" and sparse.shape == want.shape
+        assert sparse.toarray().tobytes() == want.toarray().tobytes(), (g, kind, augmented)
+        if kind != "row_stochastic_propagation":
+            # the reference's row-scaling matmul leaves that kind's column indices unsorted
+            assert np.array_equal(sparse.indptr, want.indptr) and np.array_equal(sparse.indices, want.indices)
+            assert sparse.data.tobytes() == want.data.tobytes(), (g, kind, augmented)
 
 
 def test_generate_complete_and_barbell():
