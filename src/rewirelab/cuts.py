@@ -4,8 +4,11 @@ Conductance values are kept as Fractions so threshold comparisons in the
 decision solvers are never contaminated by floating point.  Exhaustive cut
 questions, minimum conductance and minimum bisection alike, read one numpy
 table of the boundary and volume of all 2^(n-1) sides, `_cut_table`, and take
-its least ratio with `_least_side`.  This keeps the default exact limits
-(n <= 24 cuts, n <= 20 bisection) comfortably under a minute.
+its least ratio with `_least_side`; `_toggled_conductance` reads the same table
+once for every edge-toggled candidate of the conductance rewiring decision.
+Every least ratio goes through one exact argmin, `_least_ratio`.  This keeps
+the default exact limits (n <= 24 cuts, n <= 20 bisection) comfortably under a
+minute.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ EXACT_BISECTION_LIMIT = 20
 SWEEP_DENSE_LIMIT = 2048
 #: log2 of the number of sides in one chunk of the cut table.
 _CHUNK_BITS = 14
+#: Most int64 entries in one (candidates x sides) block of `_toggled_conductance`.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,28 +113,48 @@ def _cut_table(g: Graph):
         vol = np.concatenate((vol, vol + deg[v]))
     cut = vol - 2 * inner
     yield 0, cut, vol
+    # d_v - 2 |N(v) n S| over the low vertices, once per high vertex
+    step = {v: deg[v] - 2 * np.bitwise_count(low & masks[v]).astype(np.int64) for v in range(k, g.n - 1)}
     high = 0
     for i in range(1, 1 << (g.n - 1 - k)):
         v = k + (i & -i).bit_length() - 1
-        inside = np.bitwise_count(low & masks[v]).astype(np.int64) + (masks[v] & high).bit_count()
-        sign = -1 if high >> v & 1 else 1
+        delta = step[v] - 2 * (masks[v] & high).bit_count()
+        if high >> v & 1:
+            cut, vol = cut - delta, vol - deg[v]
+        else:
+            cut, vol = cut + delta, vol + deg[v]
         high ^= 1 << v
-        cut = cut + sign * (deg[v] - 2 * inside)
-        vol = vol + sign * deg[v]
         yield high, cut, vol
 
 
 def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Indices of the least num/den over den > 0: a float quotient proposes the
-    least entry, int64 cross-multiplication decides it and its ties."""
-    ok = den > 0
-    i = int(np.argmin(np.divide(num, den, out=np.full(len(num), np.inf), where=ok)))
+    """Mask of the entries holding the least num/den over den > 0, per row of
+    the last axis; a row with no den > 0 has none.  Entries stay below 2^53.
+
+    A float quotient proposes: a smaller ratio never has a greater quotient, so
+    only the entries holding their row's least quotient can hold its least
+    ratio, and int64 cross-multiplication decides among those few.
+    """
+    if den.min() > 0:
+        q = num / den
+    else:
+        q = np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
+    near = np.flatnonzero(q == q.min(axis=-1, keepdims=True))
+    near = near[den.ravel()[near] > 0]  # a row without den > 0 holds only inf quotients
+    near_num, near_den = num.ravel()[near], den.ravel()[near]
+    row = near // num.shape[-1]
+    ref = np.searchsorted(row, row)  # each entry's row's first near entry
     while True:
-        diff = num * den[i] - num[i] * den
-        lower = np.flatnonzero(ok & (diff < 0))
+        diff = near_num * near_den[ref] - near_num[ref] * near_den
+        lower = np.flatnonzero(diff < 0)
         if not len(lower):
-            return np.flatnonzero(ok & (diff == 0))
-        i = int(lower[0])
+            break
+        below = np.full(num.size // num.shape[-1], -1)  # by row: an entry below its reference
+        below[row[lower]] = lower
+        ref = np.where(below[row] >= 0, below[row], ref)
+    tied = np.zeros(num.shape, bool)
+    tied.ravel()[near[diff == 0]] = True
+    return tied
 
 
 def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
@@ -142,7 +167,7 @@ def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
     best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no side yet
     for start, cut, vol in _cut_table(g):
         den = den_of(start, cut, vol)
-        tied = _least_ratio(cut, den)
+        tied = np.flatnonzero(_least_ratio(cut, den))
         if not len(tied):
             continue
         num, d = int(cut[tied[0]]), int(den[tied[0]])
@@ -153,6 +178,82 @@ def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
             side = min(side, best_side)
         best_num, best_den, best_side = num, d, side
     return best_num, best_side
+
+
+def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """Greatest num/den over the entries with den > 0, or 0 if there are none."""
+    top = _least_ratio(-num, den)
+    i = int(top.argmax())
+    return Fraction(int(num[i]), int(den[i])) if top[i] else Fraction(0)
+
+
+def _toggled_conductance(g: Graph, toggles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact conductance num/den of g with each row of `toggles` applied.
+
+    A row holds indices into the lexicographic pairs (u, v), u < v, padded with
+    their count.  Toggling (u, v), with s = -1 for an edge and +1 for a
+    non-edge, changes a side's boundary by s [S separates u and v], its volume
+    by s ([u in S] + [v in S]) and the total volume by 2s.  So one pass over
+    the cut table of g scores every row, in blocks of at most _BLOCK_ENTRIES
+    (candidates x sides) entries, and each row keeps its least
+    cut / max(1, min(vol, 2m' - vol)) over the nonempty sides.  A nonempty side
+    without boundary means a disconnected candidate, which reads 0/1.  Sides
+    that no row can reach its minimum on, and blocks that lower no row's
+    minimum, are skipped by exact integer bounds.
+    """
+    n, k = g.n, toggles.shape[1]
+    u, v = np.triu_indices(n, 1)
+    pad = len(u)
+    masks = np.array(g.adjacency_masks, np.int64)
+    sign = np.zeros(pad + 1, np.int64)  # the pad toggles nothing
+    sign[:pad] = 1 - 2 * (masks[u] >> v & 1)
+    total = 2 * g.m + 2 * sign[toggles].sum(axis=1)
+    best_num, best_den = np.ones(len(toggles), np.int64), np.zeros(len(toggles), np.int64)  # 1/0: no side yet
+    bound_num, bound_den = 1, 0
+    # a block's sides also bound the per-pair delta tables, which hold pad + 1 rows
+    width = max(1, _BLOCK_ENTRIES // (pad + 1)) if k else _BLOCK_ENTRIES
+    for start, cut, vol in _cut_table(g):
+        first = int(start == 0)  # mask 0, the empty side, is no cut
+        cut, vol = cut[first:], vol[first:]
+        if k:
+            side = np.arange(first, first + len(cut))
+            # k toggles move a boundary by at most k and min(vol, 2m - vol) by at most 2k, so no
+            # candidate reaches its least ratio on a side whose least reachable ratio is above
+            # the greatest reachable ratio of some side
+            min_vol = np.minimum(vol, 2 * g.m - vol)
+            top_den = np.maximum(min_vol - 2 * k, 1)
+            top = int(_least_ratio(cut + k, top_den).argmax())
+            if (cut[top] + k) * bound_den < bound_num * top_den[top]:
+                bound_num, bound_den = int(cut[top]) + k, int(top_den[top])
+            keep = np.flatnonzero((cut - k) * bound_den <= bound_num * (min_vol + 2 * k))
+            side, cut, vol = side[keep], cut[keep], vol[keep]
+        for lo in range(0, len(cut), width):
+            rows = max(1, _BLOCK_ENTRIES // len(cut[lo : lo + width]))
+            if k:
+                bits = (start + side[lo : lo + width]) >> np.arange(n)[:, None] & 1
+                d_cut, d_vol = np.zeros((2, pad + 1, len(bits[0])), np.int64)
+                np.multiply(bits[u] ^ bits[v], sign[:pad, None], out=d_cut[:pad])
+                np.multiply(bits[u] + bits[v], sign[:pad, None], out=d_vol[:pad])
+            for r in range(0, len(toggles), rows):
+                block = toggles[r : r + rows]
+                c, vl = np.atleast_2d(cut[lo : lo + width]), np.atleast_2d(vol[lo : lo + width])
+                if k:
+                    c, vl = c + d_cut[block[:, 0]], vl + d_vol[block[:, 0]]
+                for t in range(1, k):
+                    c += d_cut[block[:, t]]
+                    vl += d_vol[block[:, t]]
+                den = total[r : r + rows, None] - vl
+                np.minimum(den, vl, out=den)
+                np.maximum(den, 1, out=den)
+                b_num, b_den = best_num[r : r + rows], best_den[r : r + rows]
+                if b_den.all() and not (c * b_den[:, None] < b_num[:, None] * den).any():
+                    continue  # the block lowers no running minimum
+                at = np.arange(len(c)), _least_ratio(c, den).argmax(axis=1)
+                num_i, den_i = c[at], den[at]
+                lower = num_i * b_den < b_num * den_i
+                np.copyto(b_num, num_i, where=lower)
+                np.copyto(b_den, den_i, where=lower)
+    return best_num, best_den
 
 
 def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> Cut:
@@ -202,7 +303,7 @@ def conductance_sweep(g: Graph) -> Cut:
     # an edge crosses prefix i (the first i + 1 vertices in order) when its ends sit at lo <= i < hi
     cut = np.cumsum(np.bincount(ends[:, 0], minlength=g.n) - np.bincount(ends[:, 1], minlength=g.n))[:-1]
     vol = np.cumsum(np.array(g.degrees)[order])[:-1]
-    best = int(_least_ratio(cut, np.minimum(vol, 2 * g.m - vol))[0])
+    best = int(_least_ratio(cut, np.minimum(vol, 2 * g.m - vol)).argmax())
     return _cut_of(g, order[: best + 1])
 
 

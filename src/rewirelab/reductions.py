@@ -27,7 +27,7 @@ from .cuts import (
     EXACT_BISECTION_LIMIT,
     _boundary_and_volumes,
     _cut_table,
-    _least_ratio,
+    _greatest_ratio,
     balance_cut,
     conductance_exact,
     conductance_of,
@@ -246,12 +246,6 @@ def embed_instance(
 
 
 # -- measured constants -------------------------------------------------------------
-
-
-def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
-    """Greatest num/den over the entries with den > 0, or 0 if there are none."""
-    top = _least_ratio(-num, den)
-    return Fraction(int(num[top[0]]), int(den[top[0]])) if len(top) else Fraction(0)
 
 
 def measure_constants(

@@ -1,11 +1,14 @@
 """Exact rewiring decision solvers under an edit budget, plus polynomial heuristics.
 
 The decision solvers enumerate edge toggles (the symmetric-difference metric
-treats each vertex pair as a binary toggle) and evaluate the objective exactly:
-enumerated conductance for the conductance problem, exact inertia-count
-threshold tests for the spectral problem.  The heuristics are the practical alternative:
-greedy single-toggle ascent, curvature/resistance rewiring, and personalized
-PageRank densification.
+treats each vertex pair as a binary toggle) and evaluate the objective exactly.
+The conductance problem reads the base graph's cut table once and scores every
+toggle set from it as integer changes to each side's boundary and volume, so no
+candidate graph is built; the spectral problem runs an exact inertia-count
+threshold test per candidate.  The heuristics are the practical alternative:
+greedy single-toggle ascent (scored the same batched way for exact
+conductance), curvature/resistance rewiring, and personalized PageRank
+densification.
 """
 
 from __future__ import annotations
@@ -13,14 +16,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .cuts import EXACT_CONDUCTANCE_LIMIT, conductance_exact, conductance_sweep
+from .cuts import (
+    _BLOCK_ENTRIES,
+    EXACT_CONDUCTANCE_LIMIT,
+    _greatest_ratio,
+    _least_ratio,
+    _toggled_conductance,
+    conductance_exact,
+    conductance_sweep,
+)
 from .errors import (
     DisconnectedPair,
     EdgeAbsent,
+    EmptySide,
     ExactLimitExceeded,
     SameVertex,
     SearchSpaceTooLarge,
@@ -89,14 +101,18 @@ def _candidate_count(num_pairs: int, budget: int) -> int:
     return sum(math.comb(num_pairs, j) for j in range(budget + 1))
 
 
-def _enumerate_toggles(g: Graph, budget: int, max_candidates: int):
-    """Yield toggle sets of size 0..budget in deterministic (size, lex) order."""
-    pairs = _all_pairs(g.n)
-    total = _candidate_count(len(pairs), budget)
+def _check_search_space(num_pairs: int, budget: int, max_candidates: int) -> None:
+    total = _candidate_count(num_pairs, budget)
     if total > max_candidates:
         raise SearchSpaceTooLarge(
             f"{total} candidate edit sets exceed the cap of {max_candidates}"
         )
+
+
+def _enumerate_toggles(g: Graph, budget: int, max_candidates: int):
+    """Yield toggle sets of size 0..budget in deterministic (size, lex) order."""
+    pairs = _all_pairs(g.n)
+    _check_search_space(len(pairs), budget, max_candidates)
     for j in range(budget + 1):
         yield from combinations(pairs, j)
 
@@ -110,6 +126,15 @@ def _toggle_edit_set(g: Graph, toggles) -> EditSet:
     return EditSet(additions=toggles - g.edges, removals=toggles & g.edges)
 
 
+def _at_least(num: np.ndarray, den: np.ndarray, x: Fraction) -> np.ndarray:
+    """num/den >= x for each entry, exactly: in int64 when the products fit,
+    else in Python ints."""
+    p, q = x.numerator, x.denominator
+    if max(int(num.max()), 1) * q >= 1 << 63 or p * int(den.max()) >= 1 << 63:
+        num, den = num.astype(object), den.astype(object)
+    return num * q >= p * den
+
+
 def decide_groc(
     inst: GrocInstance,
     exact_limit: int = EXACT_CONDUCTANCE_LIMIT,
@@ -118,24 +143,40 @@ def decide_groc(
 ) -> Decision:
     """Exhaustive exact solve of the conductance rewiring decision.
 
-    Returns yes with the first witness in enumeration order; value_achieved is
-    the maximum conductance over the whole search (over the search so far when
-    `decision_only` stops at the witness).
+    Toggle sets are scored in groups of _BLOCK_ENTRIES, each group by one pass
+    over the base graph's cut table that applies every toggle as integer deltas
+    to each side's boundary and volume (`cuts._toggled_conductance`); phi >= phi0
+    is decided by integer cross-multiplication.  Returns yes with the first
+    witness in (size, lex) order; value_achieved is the maximum conductance over
+    the whole search (over the search up to the witness when `decision_only`
+    stops at the group that holds it; its groups grow 1, 2, 4, ...).
     """
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact conductance limited to n <= {exact_limit}, got {g.n}")
+    pairs = _all_pairs(g.n)
+    _check_search_space(len(pairs), inst.budget_k, max_candidates)
+    if g.n < 2:
+        raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
+    phi0 = Fraction(inst.phi0)
+    sets = chain.from_iterable(combinations(range(len(pairs)), j) for j in range(inst.budget_k + 1))
     best: Fraction | None = None
     witness: EditSet | None = None
-    for toggles in _enumerate_toggles(g, inst.budget_k, max_candidates):
-        candidate = _toggled(g, toggles)
-        phi = conductance_exact(candidate, exact_limit=exact_limit).phi
-        if best is None or phi > best:
-            best = phi
-        if witness is None and phi >= inst.phi0:
-            witness = _toggle_edit_set(g, toggles)
+    size = 1 if decision_only else _BLOCK_ENTRIES  # doubling groups stop soon after an early witness
+    while group := list(islice(sets, size)):
+        size = min(2 * size, _BLOCK_ENTRIES)
+        width = len(group[-1])  # the largest set of the group, in (size, lex) order
+        toggles = np.array([s + (len(pairs),) * (width - len(s)) for s in group], np.int64).reshape(len(group), width)
+        num, den = _toggled_conductance(g, toggles)
+        hits = np.flatnonzero(_at_least(num, den, phi0))
+        if witness is None and len(hits):
+            witness = _toggle_edit_set(g, [pairs[i] for i in group[hits[0]]])
             if decision_only:
-                break
+                num, den = num[: hits[0] + 1], den[: hits[0] + 1]
+        phi = _greatest_ratio(num, den)
+        best = phi if best is None else max(best, phi)
+        if decision_only and witness is not None:
+            break
     answer = "yes" if witness is not None else "no"
     return Decision(answer=answer, witness=witness, value_achieved=float(best))
 
@@ -192,6 +233,15 @@ def _objective_value(g: Graph, objective: str, exact_limit: int):
     return spectral_summary(g).lambda2
 
 
+def _best_conductance_toggle(g: Graph) -> tuple[tuple[int, int], Fraction]:
+    """The first pair in pair order whose toggle gives g its greatest exact
+    conductance, and that conductance: one K = 1 batch over g's cut table."""
+    pairs = _all_pairs(g.n)
+    num, den = _toggled_conductance(g, np.arange(len(pairs))[:, None])
+    i = int(_least_ratio(-num, den).argmax())
+    return pairs[i], Fraction(int(num[i]), int(den[i]))
+
+
 def greedy_rewire(
     g: Graph,
     budget: int,
@@ -213,17 +263,15 @@ def greedy_rewire(
     cur_val = _objective_value(g, objective, exact_limit)
     trace = [float(cur_val)]
     for _ in range(budget):
-        best_pair = None
-        best_val = None
-        for pair in _all_pairs(cur.n):
-            cand = _toggled(cur, [pair])
-            val = _objective_value(cand, objective, exact_limit)
-            if val is None or val <= cur_val + tol:
-                continue
-            if best_val is None or val > best_val:
-                best_val = val
-                best_pair = pair
-        if best_pair is None:
+        if objective == "conductance" and cur.n <= exact_limit:
+            best_pair, best_val = _best_conductance_toggle(cur)
+        else:
+            best_pair = best_val = None
+            for pair in _all_pairs(cur.n):
+                val = _objective_value(_toggled(cur, [pair]), objective, exact_limit)
+                if val is not None and val > cur_val + tol and (best_val is None or val > best_val):
+                    best_pair, best_val = pair, val
+        if best_pair is None or best_val <= cur_val + tol:
             break
         cur = _toggled(cur, [best_pair])
         cur_val = best_val

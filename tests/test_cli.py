@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rewirelab import build_graph, parse_graph, serialize_graph
+from rewirelab import GrocInstance, GrosInstance, build_graph, decide_groc, decide_gros, parse_graph, serialize_graph
 from rewirelab.cli import main
+from rewirelab.errors import RewireLabError
 
 
 def run(capsys, *argv):
@@ -298,3 +305,43 @@ def test_lanczos_analyze_imports_what_it_needs(tmp_path):
     child = _cli_child(tmp_path, "analyze", path, "--format", "json")
     assert child["code"] == 0
     assert "scipy.sparse.linalg" in child["scipy"]
+
+
+@st.composite
+def _decide_argv(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    problem = draw(st.sampled_from(["groc", "gros"]))
+    q = draw(st.integers(1, 9))
+    p = draw(st.integers(-q - 1 if problem == "gros" else -1, q + 1))  # one step past each end of the range
+    return g, problem, draw(st.integers(0, 2)), Fraction(p, q), f"{p}/{q}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_decide_argv())
+def test_decide_exit_code_matches_in_process_decision(case):
+    g, problem, budget, threshold, text = case
+    try:
+        if problem == "groc":
+            decision = decide_groc(GrocInstance(g, budget, threshold))
+        else:
+            decision = decide_gros(GrosInstance(g, budget, threshold))
+        want = 0 if decision.answer == "yes" else 1
+    except (RewireLabError, ValueError):
+        want = 4
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w") as fh:
+            fh.write(serialize_graph(g))
+        assert parse_graph(serialize_graph(g)) == g
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["decide", problem, path, str(budget), text])
+            runs.append((code, out.getvalue()))
+    assert runs[0][0] == want, (case, runs[0], err.getvalue())
+    assert runs[0] == runs[1]
+    if want in (0, 1):
+        assert json.loads(runs[0][1])["answer"] == decision.answer
