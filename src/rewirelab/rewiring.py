@@ -1,14 +1,14 @@
 """Exact rewiring decision solvers under an edit budget, plus polynomial heuristics.
 
-The decision solvers enumerate edge toggles (the symmetric-difference metric
-treats each vertex pair as a binary toggle) and evaluate the objective exactly.
-The conductance problem reads the base graph's cut table once and scores every
-toggle set from it as integer changes to each side's boundary and volume, so no
-candidate graph is built; the spectral problem runs an exact inertia-count
-threshold test per candidate.  The heuristics are the practical alternative:
-greedy single-toggle ascent (scored the same batched way for exact
-conductance), curvature/resistance rewiring, and personalized PageRank
-densification.
+Both decision solvers share one search over edge toggles (the symmetric-difference
+metric treats each vertex pair as a binary toggle): every set of size <= K in
+(size, lex) order, scored in blocks.  The conductance problem scores a block from
+the base graph's cut table as integer changes to each side's boundary and volume;
+the spectral problem scores a block's float mu2 with one stacked `eigvalsh` and
+runs an exact inertia-count threshold test per candidate up to the first witness.
+The heuristics are the practical alternative: greedy single-toggle ascent (scored
+the same batched way for exact conductance), curvature/resistance rewiring, and
+personalized PageRank densification.
 """
 
 from __future__ import annotations
@@ -97,33 +97,39 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _candidate_count(num_pairs: int, budget: int) -> int:
-    return sum(math.comb(num_pairs, j) for j in range(budget + 1))
-
-
-def _check_search_space(num_pairs: int, budget: int, max_candidates: int) -> None:
-    total = _candidate_count(num_pairs, budget)
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(
-            f"{total} candidate edit sets exceed the cap of {max_candidates}"
-        )
-
-
-def _enumerate_toggles(g: Graph, budget: int, max_candidates: int):
-    """Yield toggle sets of size 0..budget in deterministic (size, lex) order."""
-    pairs = _all_pairs(g.n)
-    _check_search_space(len(pairs), budget, max_candidates)
-    for j in range(budget + 1):
-        yield from combinations(pairs, j)
-
-
 def _toggled(g: Graph, toggles) -> Graph:
-    return Graph(n=g.n, edges=g.edges ^ frozenset(toggles))
+    toggles = frozenset(toggles)
+    return Graph(n=g.n, edges=g.edges ^ toggles) if toggles else g  # g keeps its cached views
 
 
 def _toggle_edit_set(g: Graph, toggles) -> EditSet:
     toggles = frozenset(toggles)
     return EditSet(additions=toggles - g.edges, removals=toggles & g.edges)
+
+
+def _search(g: Graph, pairs: tuple[np.ndarray, np.ndarray], budget: int, max_candidates: int, rows: int, score, best):
+    """Decide over every toggle set of size 0..budget in (size, lex) order.
+
+    `score(toggles, find)` gets `rows` sets at a time as int64 indices into
+    `pairs` = (u, v), the lexicographic pairs, padded with the pair count to the
+    block's largest set; it returns the block's value and, when `find` is true,
+    the row of its first hit or None.  Yes takes the first hit as its witness,
+    and value_achieved is the `best` (max or min) of the block values.
+    """
+    u, v = pairs
+    total = sum(math.comb(len(u), j) for j in range(budget + 1))
+    if total > max_candidates:
+        raise SearchSpaceTooLarge(f"{total} candidate edit sets exceed the cap of {max_candidates}")
+    sets = chain.from_iterable(combinations(range(len(u)), j) for j in range(budget + 1))
+    values, witness = [], None
+    while block := list(islice(sets, rows)):
+        width = len(block[-1])
+        toggles = np.array([s + (len(u),) * (width - len(s)) for s in block], np.int64).reshape(len(block), width)
+        value, hit = score(toggles, witness is None)
+        values.append(value)
+        if witness is None and hit is not None:
+            witness = _toggle_edit_set(g, ((int(u[i]), int(v[i])) for i in block[hit]))
+    return Decision("yes" if witness is not None else "no", witness, float(best(values)))
 
 
 def _at_least(num: np.ndarray, den: np.ndarray, x: Fraction) -> np.ndarray:
@@ -139,84 +145,78 @@ def decide_groc(
     inst: GrocInstance,
     exact_limit: int = EXACT_CONDUCTANCE_LIMIT,
     max_candidates: int = MAX_EDIT_CANDIDATES,
-    decision_only: bool = False,
 ) -> Decision:
     """Exhaustive exact solve of the conductance rewiring decision.
 
-    Toggle sets are scored in groups of _BLOCK_ENTRIES, each group by one pass
+    Toggle sets are scored in blocks of _BLOCK_ENTRIES, each block by one pass
     over the base graph's cut table that applies every toggle as integer deltas
     to each side's boundary and volume (`cuts._toggled_conductance`); phi >= phi0
     is decided by integer cross-multiplication.  Returns yes with the first
     witness in (size, lex) order; value_achieved is the maximum conductance over
-    the whole search (over the search up to the witness when `decision_only`
-    stops at the group that holds it; its groups grow 1, 2, 4, ...).
+    the whole search.
     """
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact conductance limited to n <= {exact_limit}, got {g.n}")
-    pairs = _all_pairs(g.n)
-    _check_search_space(len(pairs), inst.budget_k, max_candidates)
-    if g.n < 2:
-        raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
     phi0 = Fraction(inst.phi0)
-    sets = chain.from_iterable(combinations(range(len(pairs)), j) for j in range(inst.budget_k + 1))
-    best: Fraction | None = None
-    witness: EditSet | None = None
-    size = 1 if decision_only else _BLOCK_ENTRIES  # doubling groups stop soon after an early witness
-    while group := list(islice(sets, size)):
-        size = min(2 * size, _BLOCK_ENTRIES)
-        width = len(group[-1])  # the largest set of the group, in (size, lex) order
-        toggles = np.array([s + (len(pairs),) * (width - len(s)) for s in group], np.int64).reshape(len(group), width)
+
+    def score(toggles, find):
+        if g.n < 2:  # raised here, after _search's cap check, so SearchSpaceTooLarge comes first
+            raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
         num, den = _toggled_conductance(g, toggles)
         hits = np.flatnonzero(_at_least(num, den, phi0))
-        if witness is None and len(hits):
-            witness = _toggle_edit_set(g, [pairs[i] for i in group[hits[0]]])
-            if decision_only:
-                num, den = num[: hits[0] + 1], den[: hits[0] + 1]
-        phi = _greatest_ratio(num, den)
-        best = phi if best is None else max(best, phi)
-        if decision_only and witness is not None:
-            break
-    answer = "yes" if witness is not None else "no"
-    return Decision(answer=answer, witness=witness, value_achieved=float(best))
+        return _greatest_ratio(num, den), (int(hits[0]) if len(hits) else None)
+
+    return _search(g, np.triu_indices(g.n, 1), inst.budget_k, max_candidates, _BLOCK_ENTRIES, score, max)
+
+
+def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: np.ndarray) -> np.ndarray:
+    """The dense propagation matrix of adj toggled by each row of `toggles` over the pairs
+    (u, v), built as `matrix_of` builds it: s = 1/sqrt(d' + 1), A' s s^T, diagonal s^2."""
+    stack = np.repeat(adj[None], len(toggles), axis=0)
+    for col in toggles.T:
+        b = np.flatnonzero(col < len(u))  # the pad toggles nothing
+        i, j = u[col[b]], v[col[b]]
+        stack[b, i, j] = stack[b, j, i] = 1.0 - stack[b, i, j]
+    s = 1.0 / np.sqrt(stack.sum(axis=2) + 1.0)
+    stack *= s[:, :, None]
+    stack *= s[:, None, :]
+    stack.reshape(len(stack), -1)[:, :: len(adj) + 1] = s * s
+    return stack
 
 
 def decide_gros(
     inst: GrosInstance,
     exact_limit: int = EXACT_EIGEN_LIMIT,
     max_candidates: int = MAX_EDIT_CANDIDATES,
-    decision_only: bool = False,
 ) -> Decision:
     """Exhaustive solve of the spectral rewiring decision.
 
-    The per-candidate threshold test is `exact_mu2_leq`, an exact integer
-    inertia count, never floating point; value_achieved is the best floating-point mu2 seen and is
-    informational only.
+    The threshold test is `exact_mu2_leq`, an exact integer inertia count run per
+    candidate up to the first witness, never floating point.  value_achieved is the
+    least float mu2 over the whole search, informational only: one stacked `eigvalsh`
+    per block of at most _BLOCK_ENTRIES float64 entries (one matrix at least).
     """
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
-    best = None
-    witness: EditSet | None = None
-    for toggles in _enumerate_toggles(g, inst.budget_k, max_candidates):
-        candidate = _toggled(g, toggles)
-        if candidate.n >= 2:
-            prop = matrix_of(candidate, "propagation")
-            eigs = np.linalg.eigvalsh(prop)
-            if inst.mode == "signed":
-                mu2_float = float(eigs[-2])
-            else:
-                mu2_float = float(np.sort(np.abs(eigs))[-2])
-        else:
-            mu2_float = 1.0
-        if best is None or mu2_float < best:
-            best = mu2_float
-        if witness is None and exact_mu2_leq(candidate, inst.tau, mode=inst.mode, exact_limit=exact_limit):
-            witness = _toggle_edit_set(g, toggles)
-            if decision_only:
-                break
-    answer = "yes" if witness is not None else "no"
-    return Decision(answer=answer, witness=witness, value_achieved=best)
+    n = g.n
+    u, v = np.triu_indices(n, 1)
+    adj = matrix_of(g, "adjacency", dense_limit=n)  # dense at every n: eigvalsh takes no CSR
+
+    def leq(row):  # the exact test on the candidate of one padded row
+        row = row[row < len(u)]
+        return exact_mu2_leq(_toggled(g, zip(u[row].tolist(), v[row].tolist())), inst.tau, inst.mode, exact_limit)
+
+    def score(toggles, find):
+        # mu2 is undefined on one vertex; it reads 1
+        eigs = np.linalg.eigvalsh(_propagation_stack(adj, u, v, toggles)) if n > 1 else np.ones((len(toggles), 2))
+        mu2 = eigs[:, -2] if inst.mode == "signed" else np.sort(np.abs(eigs))[:, -2]
+        hit = next((i for i, row in enumerate(toggles) if leq(row)), None) if find else None
+        return float(mu2[mu2.argmin()]), hit  # argmin: the first of equal minima, as -0.0 and 0.0
+
+    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))  # a stack of n x n float64 matrices
+    return _search(g, (u, v), inst.budget_k, max_candidates, rows, score, min)
 
 
 # -- greedy single-toggle ascent ----------------------------------------------------

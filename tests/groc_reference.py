@@ -2,6 +2,8 @@
 the batched conductance code in `rewirelab.rewiring` replaced, kept as written
 there.
 
+`_enumerate_toggles` yields the toggle sets one at a time in (size, lex) order,
+after `_check_search_space` has capped their count;
 `decide_groc` builds every toggled graph and calls `conductance_exact` on it;
 `greedy_rewire` scores every single toggle the same way (or by sweep cut above
 the exact limit, and by lambda2 for the spectral-gap objective).
@@ -9,13 +11,35 @@ the exact limit, and by lambda2 for the spectral-gap objective).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 from rewirelab import Decision, EditSet, Graph, GrocInstance, conductance_exact, conductance_sweep, spectral_summary
 from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT
-from rewirelab.errors import ExactLimitExceeded
+from rewirelab.errors import ExactLimitExceeded, SearchSpaceTooLarge
 from rewirelab.graph import edit_set_between
-from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _all_pairs, _enumerate_toggles, _toggle_edit_set, _toggled
+from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _all_pairs, _toggle_edit_set, _toggled
+
+
+def _candidate_count(num_pairs: int, budget: int) -> int:
+    return sum(math.comb(num_pairs, j) for j in range(budget + 1))
+
+
+def _check_search_space(num_pairs: int, budget: int, max_candidates: int) -> None:
+    total = _candidate_count(num_pairs, budget)
+    if total > max_candidates:
+        raise SearchSpaceTooLarge(
+            f"{total} candidate edit sets exceed the cap of {max_candidates}"
+        )
+
+
+def _enumerate_toggles(g: Graph, budget: int, max_candidates: int):
+    """Yield toggle sets of size 0..budget in deterministic (size, lex) order."""
+    pairs = _all_pairs(g.n)
+    _check_search_space(len(pairs), budget, max_candidates)
+    for j in range(budget + 1):
+        yield from combinations(pairs, j)
 
 
 def decide_groc(

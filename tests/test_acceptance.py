@@ -146,7 +146,7 @@ def test_criterion_04_decision_soundness_and_monotonicity():
         if d.answer == "yes":
             yes_groc += 1
             _reverify_groc(d, g, inst)
-            bigger = decide_groc(GrocInstance(g, k + 1, inst.phi0), decision_only=True)
+            bigger = decide_groc(GrocInstance(g, k + 1, inst.phi0))
             assert bigger.answer == "yes"
     for _ in range(100):
         g = make_gnp(rng, rng.randrange(4, 9), rng.random())
@@ -156,7 +156,7 @@ def test_criterion_04_decision_soundness_and_monotonicity():
         if d.answer == "yes":
             yes_gros += 1
             _reverify_gros(d, g, inst)
-            bigger = decide_gros(GrosInstance(g, k + 1, inst.tau), decision_only=True)
+            bigger = decide_gros(GrosInstance(g, k + 1, inst.tau))
             assert bigger.answer == "yes"
     assert yes_groc > 0 and yes_gros > 0  # the sample must exercise both branches
     _report(4, f"100+100 instances sound and budget-monotone ({yes_groc}/{yes_gros} yes answers re-verified)")

@@ -59,7 +59,7 @@ def test_decide_groc_monotone_in_budget():
         phi0 = Fraction(rng.randrange(1, 9), 10)
         k = rng.randrange(0, 2)
         if decide_groc(GrocInstance(g, k, phi0)).answer == "yes":
-            assert decide_groc(GrocInstance(g, k + 1, phi0), decision_only=True).answer == "yes"
+            assert decide_groc(GrocInstance(g, k + 1, phi0)).answer == "yes"
 
 
 def test_decide_monotone_in_threshold():
@@ -70,10 +70,10 @@ def test_decide_monotone_in_threshold():
         phi0 = Fraction(rng.randrange(2, 9), 10)
         if decide_groc(GrocInstance(g, k, phi0)).answer == "yes":
             easier = phi0 - Fraction(1, 10)
-            assert decide_groc(GrocInstance(g, k, easier), decision_only=True).answer == "yes"
+            assert decide_groc(GrocInstance(g, k, easier)).answer == "yes"
         tau = Fraction(rng.randrange(-20, 90), 100)
         if decide_gros(GrosInstance(g, k, tau)).answer == "yes":
-            assert decide_gros(GrosInstance(g, k, tau + Fraction(1, 10)), decision_only=True).answer == "yes"
+            assert decide_gros(GrosInstance(g, k, tau + Fraction(1, 10))).answer == "yes"
 
 
 def test_decide_search_space_cap():
