@@ -233,6 +233,14 @@ def _cmd_gen(args) -> int:
     return EXIT_YES
 
 
+def _rational(text: str) -> Fraction:
+    """A rational argument; a zero denominator is a parameter error, as 'nan' is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
 def _cmd_analyze(args) -> int:
     g = _read_graph(args.graph_file)
     limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
@@ -243,7 +251,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decide(args) -> int:
     g = _read_graph(args.graph_file)
-    threshold = Fraction(args.threshold)
+    threshold = _rational(args.threshold)
     cap = MAX_EDIT_CANDIDATES if args.exact_limit_k is None else args.exact_limit_k
     if args.problem == "groc":
         limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
@@ -290,9 +298,9 @@ def _cmd_reduce(args) -> int:
     h = _read_graph(args.bisection_file)
     inst = BisectionInstance(h, args.budget)
     consts = ReductionConstants(
-        c1=Fraction(args.c1 or _default_c1(args.problem)),
-        c2=Fraction(args.c2),
-        c3=Fraction(args.c3),
+        c1=_rational(args.c1 or _default_c1(args.problem)),
+        c2=_rational(args.c2),
+        c3=_rational(args.c3),
     )
     limit = _exact_limit_n(args, EXACT_BISECTION_LIMIT)
     if args.problem == "groc":

@@ -74,7 +74,11 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.neighbors)
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:

@@ -576,7 +576,7 @@ def _reverse_chain_gros(cert: ReductionCertificate, lambda2_g: float, mu2_leq_ta
         delta=delta,
         sqrt_two_delta=sqrt_2_delta,
         cut_conductance_target=eps_cut,
-        sqrt_bound_holds=sqrt_2_delta <= eps_cut + 1e-12,
+        sqrt_bound_holds=2 * delta <= 12 * c1 * Fraction(max(b, 1), n),  # sqrt(2 delta) <= eps_cut, squared
         lambda2_measured=lambda2_g,
         extraction_bound=float(cert.constants.c2) * eps_cut * n,
         half_sqrt_bn=(float(b) * n) ** 0.5 / 2.0,

@@ -5,7 +5,8 @@ metric treats each vertex pair as a binary toggle): every set of size <= K in
 (size, lex) order, scored in blocks.  The conductance problem scores a block from
 the base graph's cut table as integer changes to each side's boundary and volume;
 the spectral problem scores a block's float mu2 with one stacked `eigvalsh` and
-runs an exact inertia-count threshold test per candidate up to the first witness.
+decides each candidate up to the first witness exactly: floats choose the proof
+(`sturm.guided_mu2_leq`), and integers decide it.
 The heuristics are the practical alternative: greedy single-toggle ascent (scored
 the same batched way for exact conductance), curvature/resistance rewiring, and
 personalized PageRank densification.
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .graph import DENSE_LIMIT, EditSet, Graph, canonical_pair, edit_set_between, matrix_of
 from .spectral import spectral_summary
-from .sturm import EXACT_EIGEN_LIMIT, exact_mu2_leq
+from .sturm import EXACT_EIGEN_LIMIT, guided_mu2_leq
 
 #: Cap on the number of candidate edit sets a decision solver will enumerate.
 MAX_EDIT_CANDIDATES = 2_000_000
@@ -185,6 +186,33 @@ def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: n
     return stack
 
 
+#: Entries in the first stack of proof hints `decide_gros` solves: below this, the fixed
+#: cost of a stacked solve (about 20 us) outweighs the rows it serves.
+_HINT_ENTRIES = 1 << 10
+
+
+def _eigenvector_hints(mats: np.ndarray, eigs: np.ndarray, mode: str):
+    """Per propagation matrix and its eigenvalues, the hint pair `guided_mu2_leq` takes
+    when mu2 is above tau: an integer vector, 2^40 y / max|y| rounded, where y is
+    (D+I)^(-1/2) times the eigenvector of mu2, or in absolute mode of the least
+    eigenvalue when that one is larger in size; and whether it was the least one
+    (`lowest`).  The eigenvector is one step of inverse iteration from a fixed generic
+    vector, shifted 2^-40 off the eigenvalue: one LU solve per matrix, on one BLAS
+    thread, where `eigh` costs 4-8 times as much at n = 32-48 and keeps a second
+    OpenBLAS thread spinning.
+    """
+    lowest = (-eigs[:, 0] > eigs[:, -2]) & (mode == "absolute")
+    n = mats.shape[-1]
+    shifted = mats - (np.where(lowest, eigs[:, 0], eigs[:, -2]) + 2.0**-40)[:, None, None] * np.eye(n)
+    try:
+        y = np.linalg.solve(shifted, np.cos(np.arange(n)))
+    except np.linalg.LinAlgError:  # a shift on an eigenvalue after all: exact_mu2_leq decides
+        return zip([None] * len(mats), lowest.tolist())
+    y *= np.sqrt(np.diagonal(mats, axis1=1, axis2=2))
+    x = np.rint(y * (2.0**40 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64)
+    return zip(x.tolist(), lowest.tolist())
+
+
 def decide_gros(
     inst: GrosInstance,
     exact_limit: int = EXACT_EIGEN_LIMIT,
@@ -192,28 +220,48 @@ def decide_gros(
 ) -> Decision:
     """Exhaustive solve of the spectral rewiring decision.
 
-    The threshold test is `exact_mu2_leq`, an exact integer inertia count run per
-    candidate up to the first witness, never floating point.  value_achieved is the
-    least float mu2 over the whole search, informational only: one stacked `eigvalsh`
-    per block of at most _BLOCK_ENTRIES float64 entries (one matrix at least).
+    Each block's float mu2 comes from one stacked `eigvalsh` of at most _BLOCK_ENTRIES
+    float64 entries (one matrix at least).  value_achieved is the least of them over
+    the whole search, informational only.  The threshold test runs per candidate up to
+    the first witness, and is exact: the float mu2, and above tau an eigenvector from
+    one shifted solve, only choose which integer proof `guided_mu2_leq` tries, with the
+    full inertia count of `exact_mu2_leq` at tau as its fallback.
     """
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
-    n = g.n
+    n, tau, mode = g.n, inst.tau, inst.mode
     u, v = np.triu_indices(n, 1)
+    pairs = list(zip(u.tolist(), v.tolist()))
     adj = matrix_of(g, "adjacency", dense_limit=n)  # dense at every n: eigvalsh takes no CSR
 
-    def leq(row):  # the exact test on the candidate of one padded row
-        row = row[row < len(u)]
-        return exact_mu2_leq(_toggled(g, zip(u[row].tolist(), v[row].tolist())), inst.tau, inst.mode, exact_limit)
+    def first_hit(toggles, stack, eigs, mu2):
+        """The first row whose candidate has mu2 <= tau.  One stacked solve gives the hints
+        of a chunk's rows whose float mu2 is above tau.  The first chunk holds
+        _HINT_ENTRIES float64 entries (one matrix at least) and each next one doubles the
+        rows done, so hints past the witness cost no more than those before it."""
+        start, first = 0, max(1, _HINT_ENTRIES // (n * n))
+        while start < len(toggles):
+            stop = min(len(toggles), 2 * start + first)
+            estimates = mu2[start:stop].tolist()
+            above = np.flatnonzero(mu2[start:stop] > float(tau)) if n > 1 else ()  # float picks, guided decides
+            hints = _eigenvector_hints(stack[start:stop][above], eigs[start:stop][above], mode) if len(above) else ()
+            guesses = dict(zip(list(above), hints))
+            for i, row in enumerate(toggles[start:stop].tolist()):
+                candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
+                vector, lowest = guesses.get(i, (None, False))
+                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i]), vector, lowest):
+                    return start + i
+            start = stop
+        return None
 
     def score(toggles, find):
         # mu2 is undefined on one vertex; it reads 1
-        eigs = np.linalg.eigvalsh(_propagation_stack(adj, u, v, toggles)) if n > 1 else np.ones((len(toggles), 2))
-        mu2 = eigs[:, -2] if inst.mode == "signed" else np.sort(np.abs(eigs))[:, -2]
-        hit = next((i for i, row in enumerate(toggles) if leq(row)), None) if find else None
-        return float(mu2[mu2.argmin()]), hit  # argmin: the first of equal minima, as -0.0 and 0.0
+        stack = _propagation_stack(adj, u, v, toggles) if n > 1 else None
+        eigs = np.linalg.eigvalsh(stack) if n > 1 else np.ones((len(toggles), 2))
+        mu2 = eigs[:, -2] if mode == "signed" else np.sort(np.abs(eigs))[:, -2]
+        value = float(mu2[mu2.argmin()])  # argmin: the first of equal minima, as -0.0 and 0.0
+        return value, first_hit(toggles, stack, eigs, mu2) if find else None
 
     rows = max(1, _BLOCK_ENTRIES // max(1, n * n))  # a stack of n x n float64 matrices
     return _search(g, (u, v), inst.budget_k, max_candidates, rows, score, min)

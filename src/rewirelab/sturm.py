@@ -8,6 +8,15 @@ positive eigenvalues is the number of eigenvalues of P above tau.  One
 fraction-free symmetric elimination (Bareiss) counts them: `exact_mu2_leq`
 decides mu2 <= tau that way, in Python integers only.
 
+`guided_mu2_leq` gives the same answer, often by a cheaper integer proof; a
+caller's float spectrum, passed in as a rational estimate and an integer vector,
+only chooses which proof to try.  "No" is a two-vector Courant-Fischer check in
+O(n + m): the all-ones vector is the exact top eigenvector of the pencil, since
+(A+I)1 = (D+I)1, and M positive definite on span{1, x} has two positive
+eigenvalues.  "Yes" is `exact_mu2_leq` at the simplest rational between the
+estimate and tau, which has smaller entries than at tau; mu2 <= tau' <= tau.
+Any proof that fails falls back to `exact_mu2_leq` at tau.
+
 The characteristic-polynomial path is kept as an independent oracle:
 det(x(D+I) - (A+I)) is an integer polynomial with the same roots (including
 multiplicities), computed by Bareiss determinants at integer points plus Newton
@@ -360,6 +369,13 @@ def _positive_inertia(upper: list[list[int]], stop: int) -> int:
     return count
 
 
+def _check_decision(g: Graph, mode: str, exact_limit: int) -> None:
+    if mode not in ("signed", "absolute"):
+        raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
+    if g.n > exact_limit:
+        raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
+
+
 def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_EIGEN_LIMIT) -> bool:
     """Decide mu2(P) <= tau exactly, never touching floating point.
 
@@ -369,10 +385,7 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
     eigenvalues above tau are the positive inertia of q(A+I) - p(D+I) and
     those below -tau the positive inertia of -q(A+I) - p(D+I).
     """
-    if mode not in ("signed", "absolute"):
-        raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
-    if g.n > exact_limit:
-        raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
+    _check_decision(g, mode, exact_limit)
     tau = Fraction(tau)
     if g.n == 1:
         return True
@@ -383,3 +396,75 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
     if mode == "signed" or above > 1:
         return above <= 1
     return above + _positive_inertia(_pencil_upper(g, -q, p), stop=2 - above) <= 1
+
+
+# -- hinted proofs -----------------------------------------------------------------
+
+
+def _pencil_form(g: Graph, a: int, b: int, x: list[int]) -> int:
+    """x^T (a(A+I) - b(D+I)) x."""
+    diag = sum((a - b * (d + 1)) * xi * xi for d, xi in zip(g.degrees, x))
+    return diag + 2 * a * sum(x[i] * x[j] for i, j in g.edges)
+
+
+def _certifies_above(g: Graph, tau: Fraction, x: list[int], lowest: bool) -> bool:
+    """An integer proof that mu2 > tau, from the all-ones vector and x (Courant-Fischer).
+
+    With M = q(A+I) - p(D+I), M1 = (q - p)(D+I)1, so 1^T M 1 = (q - p)(2m + n) > 0
+    when tau < 1.  Then M is positive definite on span{1, x}, and has two positive
+    eigenvalues, when (1^T M 1)(x^T M x) > (1^T M x)^2; dividing by q - p:
+    (2m + n) x^T M x > (q - p)(sum (d_i + 1) x_i)^2.  With `lowest`, x^T M_ x > 0 for
+    M_ = -q(A+I) - p(D+I) puts an eigenvalue below -tau beside the one at 1, which
+    proves the absolute mu2 above tau.
+    """
+    p, q = tau.numerator, tau.denominator
+    if q <= p or len(x) != g.n:
+        return False
+    if lowest:
+        return _pencil_form(g, -q, p, x) > 0
+    weighted = sum((d + 1) * xi for d, xi in zip(g.degrees, x))
+    return (2 * g.m + g.n) * _pencil_form(g, q, p, x) > (q - p) * weighted * weighted
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in [lo, hi], lo <= hi: a Stern-Brocot descent
+    that peels off the continued-fraction terms both ends share, in integers."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0  # the value is (h1 t + h0) / (k1 t + k0) for the tail t
+    while ln % ld and ((a := ln // ld) + 1) * hd > hn:  # a < lo and a + 1 > hi
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld  # lo, hi = 1 / (hi - a), 1 / (lo - a)
+    t = -(-ln // ld)  # an integer in [lo, hi]
+    return Fraction(h1 * t + h0, k1 * t + k0)
+
+
+def guided_mu2_leq(
+    g: Graph,
+    tau,
+    mode: str = "signed",
+    exact_limit: int = EXACT_EIGEN_LIMIT,
+    estimate: Fraction | None = None,
+    vector: list[int] | None = None,
+    lowest: bool = False,
+) -> bool:
+    """`exact_mu2_leq(g, tau, mode)`, reached by a cheaper exact proof where the hints allow.
+
+    The hints choose which proof to try; the answer rests on integers alone, so a
+    wrong hint costs time, never the answer.  `estimate` is a rational guess of mu2.
+    Above tau, `vector` is an integer guess of the eigenvector that passes it
+    (`lowest`: of the least eigenvalue, in absolute mode), and `_certifies_above`
+    proves "no" in O(n + m).  Below tau, "yes" at the simplest rational tau' in
+    [(estimate + tau) / 2, tau] is "yes" at tau, and with a smaller denominator
+    than tau's its elimination is cheaper.  Anything else is decided at tau.
+    """
+    _check_decision(g, mode, exact_limit)
+    tau = Fraction(tau)
+    if g.n >= 2 and estimate is not None:
+        if estimate > tau and vector is not None:
+            if _certifies_above(g, tau, vector, lowest and mode == "absolute"):
+                return False
+        elif estimate < tau:
+            easier = _simplest_between((estimate + tau) / 2, tau)
+            if easier.denominator < tau.denominator and exact_mu2_leq(g, easier, mode, exact_limit):
+                return True
+    return exact_mu2_leq(g, tau, mode, exact_limit)

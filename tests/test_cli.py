@@ -345,3 +345,22 @@ def test_decide_exit_code_matches_in_process_decision(case):
     assert runs[0] == runs[1]
     if want in (0, 1):
         assert json.loads(runs[0][1])["answer"] == decision.answer
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "gros", "{c4}", "0", "1/0"),
+        ("decide", "groc", "{c4}", "0", "-1/0"),
+        ("reduce", "groc", "{c4}", "2", "--c1", "1/0"),
+        ("reduce", "groc", "{c4}", "2", "--c2", "1/0"),
+        ("reduce", "gros", "{c4}", "2", "--c3", "0/0"),
+        ("decide", "gros", "{c4}", "0", "nan"),
+    ],
+)
+def test_zero_denominator_exit_4(capsys, c4_file, tmp_path, argv):
+    # exit 1 would read as "no"; a zero denominator is a parameter error, as 'nan' is
+    argv = [a.format(c4=c4_file) for a in argv] + ["--out-prefix", str(tmp_path / "x")] * (argv[0] == "reduce")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,0 +1,133 @@
+"""The hinted decision against the plain one: `guided_mu2_leq` with the float hints
+that `decide_gros` gives it must answer as `exact_mu2_leq` does, and a wrong hint
+must cost time only, never the answer."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_gnp
+from rewirelab import Graph, barbell_graph, build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of, sturm
+from rewirelab.rewiring import _eigenvector_hints
+from rewirelab.sturm import _certifies_above, _simplest_between, guided_mu2_leq
+
+MODES = ("signed", "absolute")
+
+
+def _fixed_graphs():
+    return [
+        Graph(n=1, edges=frozenset()),
+        build_graph(2, []),
+        build_graph(2, [(0, 1)]),
+        build_graph(5, []),  # edgeless: every eigenvalue is 1
+        build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # disconnected: mu2 = 1
+        build_graph(4, [(0, 1)]),  # an edge and two isolated vertices
+        cycle_graph(4),  # mu2 = 1/3 exactly
+        cycle_graph(6),  # bipartite: -1 is an eigenvalue
+        complete_graph(5),
+        barbell_graph(4),
+    ]
+
+
+def _hints(g, mode):
+    """The estimate and the hint pair `decide_gros` hands over for g when mu2 is above tau."""
+    if g.n < 2:
+        return Fraction(1), (None, False)
+    mat = matrix_of(g, "propagation")
+    eigs = np.linalg.eigvalsh(mat)
+    mu2 = eigs[-2] if mode == "signed" else np.sort(np.abs(eigs))[-2]
+    return Fraction(float(mu2)), next(_eigenvector_hints(mat[None], eigs[None], mode))
+
+
+def _thresholds(rng, estimate):
+    """The degenerate thresholds 0, +-1, +-1/2, 1/3 and a p/20; the estimate itself; and
+    grid thresholds 1e-6 and 1e-9 either side of it, as the benchmark's are."""
+    grid = [Fraction(round(estimate * 10**7) + d, 10**7) for d in (-10, 10)]
+    near = [estimate + Fraction(d, 10**9) for d in (-1, 1)]
+    fixed = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+    return fixed + [Fraction(rng.randrange(-20, 21), 20), estimate] + grid + near
+
+
+def test_guided_matches_exact_on_a_seeded_corpus(monkeypatch):
+    calls = []  # the thresholds of the exact_mu2_leq calls made inside guided_mu2_leq
+
+    def counted(g, tau, *args):
+        calls.append(Fraction(tau))
+        return exact_mu2_leq(g, tau, *args)
+
+    monkeypatch.setattr(sturm, "exact_mu2_leq", counted)
+    rng = random.Random(1818)
+    paths = {"no proof": 0, "yes proof": 0, "exact at tau": 0}
+    decisions = 0
+    graphs = _fixed_graphs()
+    while decisions < 100_000:
+        for g in graphs:
+            for mode in MODES:
+                estimate, hint = _hints(g, mode)
+                for tau in _thresholds(rng, estimate):
+                    calls.clear()
+                    got = guided_mu2_leq(g, tau, mode, 64, estimate, *(hint if estimate > tau else (None, False)))
+                    assert got == exact_mu2_leq(g, tau, mode), (g, tau, mode)
+                    if not calls:
+                        paths["no proof"] += 1
+                    elif calls[-1] != tau:
+                        paths["yes proof"] += 1
+                    else:
+                        paths["exact at tau"] += 1
+                    decisions += 1
+        n = rng.randrange(9, 17) if rng.random() < 0.1 else rng.randrange(2, 9)
+        graphs = [make_gnp(rng, n, rng.choice((0.0, 0.15, 0.3, 0.5, 0.8, 1.0, rng.random())))]
+    assert min(paths.values()) > 2_000, paths
+
+
+def test_simplest_between_has_the_least_denominator():
+    rng = random.Random(1819)
+    for _ in range(2_000):
+        lo = Fraction(rng.randrange(-300, 300), rng.randrange(1, 60))
+        hi = lo + Fraction(rng.randrange(0, 50), rng.randrange(1, 400))
+        got = _simplest_between(lo, hi)
+        q = 1
+        while -(-lo.numerator * q // lo.denominator) > hi * q:  # no multiple of 1/q in [lo, hi]
+            q += 1
+        assert lo <= got <= hi and got.denominator == q, (lo, hi, got)
+
+
+@st.composite
+def _hinted_decisions(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    q = draw(st.integers(1, 20))
+    tau = Fraction(draw(st.integers(-q, q)), q)
+    mode = draw(st.sampled_from(MODES))
+    estimate, (true_vector, _) = _hints(g, mode)
+    wrong = [tau, tau - Fraction(1, 7), tau + Fraction(1, 7), Fraction(0), Fraction(1)]
+    estimate = draw(st.sampled_from([estimate] + wrong))
+    vector = draw(
+        st.sampled_from([None, [0] * n, [1] * n, true_vector])
+        | st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n)
+    )
+    return g, tau, mode, estimate, vector, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_hinted_decisions())
+def test_a_hint_never_decides(case):
+    # wrong-side estimates, zero, all-ones and random vectors, either `lowest`
+    g, tau, mode, estimate, vector, lowest = case
+    assert guided_mu2_leq(g, tau, mode, 64, estimate, vector, lowest) == exact_mu2_leq(g, tau, mode)
+
+
+def test_no_proof_holds_only_above_tau():
+    # the two-vector proof of mu2 > tau is a proof: it never passes at or above mu2
+    c4 = cycle_graph(4)  # propagation eigenvalues 1, 1/3, 1/3, -1/3
+    x = [1, 0, -1, 0]  # an eigenvector of 1/3; D + I is 3I, so no rescaling
+    assert _certifies_above(c4, Fraction(33, 100), x, False)
+    assert not _certifies_above(c4, Fraction(1, 3), x, False)
+    assert not _certifies_above(c4, Fraction(1, 3), [1, 1, 1, 1], False)
+    assert _certifies_above(c4, Fraction(33, 100), [1, -1, 1, -1], True)  # -1/3 < -33/100
+    assert not _certifies_above(c4, Fraction(1, 3), [1, -1, 1, -1], True)
+    assert not _certifies_above(c4, Fraction(1), x, False)  # tau = 1: 1^T M 1 = 0

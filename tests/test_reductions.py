@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from rewirelab import (
     rebuild_certificate,
     reduce_to_groc,
     reduce_to_gros,
+    reductions,
     scale_instance_between,
     scale_instance_large,
     verify_reduction,
@@ -322,3 +324,17 @@ def test_certificate_chain_keys(kind, h, b, forward, reverse):
     done = verify_reduction(inst, cert)
     assert sorted(done.forward_check) == forward
     assert sorted(done.reverse_check) == reverse
+
+
+def test_sqrt_bound_is_exact():
+    # sqrt(2 delta) <= 2 sqrt(3 c1 max(B, 1) / n) is 2 delta <= 12 c1 max(B, 1) / n; an epsilon
+    # that puts 2 delta 1e-15 above that bound is below any float slack, and must read False
+    inst = BisectionInstance(cycle_graph(4), 8)
+    _, cert = reduce_to_gros(inst, GROS_CONSTS, seed=5)
+    c1, n, b = GROS_CONSTS.c1, 4, 8
+    bound = 12 * c1 * Fraction(max(b, 1), n)
+    for excess, holds in ((Fraction(1, 10**15), False), (Fraction(0), True)):
+        eps = bound / 2 - 2 * c1 * Fraction(b + n, n) + excess / 2
+        terms = reductions._reverse_chain_gros(replace(cert, constants=replace(cert.constants, epsilon=eps)), 0.0, True)
+        assert 2 * terms["delta"] == bound + excess
+        assert terms["sqrt_bound_holds"] is holds
