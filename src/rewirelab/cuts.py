@@ -4,11 +4,15 @@ Conductance values are kept as Fractions so threshold comparisons in the
 decision solvers are never contaminated by floating point.  Exhaustive cut
 questions, minimum conductance and minimum bisection alike, read one numpy
 table of the boundary and volume of all 2^(n-1) sides, `_cut_table`, and take
-its least ratio with `_least_side`; `_toggled_conductance` reads the same table
-once for every edge-toggled candidate of the conductance rewiring decision.
-Every least ratio goes through one exact argmin, `_least_ratio`.  This keeps
-the default exact limits (n <= 24 cuts, n <= 20 bisection) comfortably under a
-minute.
+its least ratio with `_least_side`, which breaks ties to the lexicographically
+least side with one numpy sort over the tied masks.  `_ToggledConductance`
+reads the same table for every edge-toggled candidate of the conductance
+rewiring decision.  On large batches it first bounds each candidate from
+above by its least ratio over the n sides of least ratio in the base graph,
+and scans in full only the candidates the caller asks for: those whose bound
+can still make them the first witness or the maximum.  Every least ratio goes
+through one exact argmin, `_least_ratio`.  This keeps the default exact limits
+(n <= 24 cuts, n <= 20 bisection) comfortably under a minute.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ EXACT_BISECTION_LIMIT = 20
 SWEEP_DENSE_LIMIT = 2048
 #: log2 of the number of sides in one chunk of the cut table.
 _CHUNK_BITS = 14
-#: Most int64 entries in one (candidates x sides) block of `_toggled_conductance`.
+#: Most int64 entries in one (candidates x sides) block of `_ToggledConductance`.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -157,6 +161,18 @@ def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return tied
 
 
+def _least_canonical(masks: np.ndarray, n: int) -> int:
+    """Index of the mask whose `_canonical_side` is the lexicographically least."""
+    canon = np.where(masks & 1, masks, ((1 << n) - 1) ^ masks)
+    member = canon >> np.arange(n)[:, None] & 1
+    later = canon >> np.arange(1, n + 1)[:, None] != 0  # a member after this vertex
+    # a member reads 1, a gap 2 before the side's last member and 0 after it: at the first
+    # vertex where two sides differ, the one that holds it is the lesser unless the other
+    # has ended there, so these digit strings order as the vertex lists do
+    digits = np.where(member == 1, 1, np.where(later, 2, 0))
+    return int(np.lexsort(digits[::-1])[0])
+
+
 def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
     """Least cut/den over the sides of the cut table with den > 0.
 
@@ -173,7 +189,8 @@ def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
         num, d = int(cut[tied[0]]), int(den[tied[0]])
         if num * best_den > best_num * d:
             continue
-        side = min(_canonical_side(start + int(j), g.n) for j in tied)
+        least = tied[0] if len(tied) == 1 else tied[_least_canonical(start + tied, g.n)]  # one side needs no sort
+        side = _canonical_side(start + int(least), g.n)
         if num * best_den == best_num * d:
             side = min(side, best_side)
         best_num, best_den, best_side = num, d, side
@@ -187,36 +204,63 @@ def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
     return Fraction(int(num[i]), int(den[i])) if top[i] else Fraction(0)
 
 
-def _toggled_conductance(g: Graph, toggles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _ToggledConductance:
     """Exact conductance num/den of g with each row of `toggles` applied.
 
-    A row holds indices into the lexicographic pairs (u, v), u < v, padded with
-    their count.  Toggling (u, v), with s = -1 for an edge and +1 for a
-    non-edge, changes a side's boundary by s [S separates u and v], its volume
-    by s ([u in S] + [v in S]) and the total volume by 2s.  So one pass over
-    the cut table of g scores every row, in blocks of at most _BLOCK_ENTRIES
-    (candidates x sides) entries, and each row keeps its least
-    cut / max(1, min(vol, 2m' - vol)) over the nonempty sides.  A nonempty side
-    without boundary means a disconnected candidate, which reads 0/1.  Sides
-    that no row can reach its minimum on, and blocks that lower no row's
-    minimum, are skipped by exact integer bounds.
+    A row holds indices into `pairs` = (u, v), the lexicographic pairs u < v,
+    padded with their count.  Toggling (u, v), with s = -1 for an edge and +1
+    for a non-edge, changes a side's boundary by s [S separates u and v], its
+    volume by s ([u in S] + [v in S]) and the total volume by 2s.  So a pass
+    over the cut table of g scores rows from per-pair tables of these changes,
+    in blocks of at most _BLOCK_ENTRIES (candidates x sides) entries, and each
+    row keeps its least cut / max(1, min(vol, 2m' - vol)) over the nonempty
+    sides.  A nonempty side without boundary means a disconnected candidate,
+    which reads 0/1.  Sides that no row can reach its minimum on, and blocks
+    that lower no row's minimum, are skipped by exact integer bounds.
+
+    `num / den` holds each row's value, exact where `exact` is set.  When the
+    cut table is one chunk (n - 1 <= _CHUNK_BITS) and a full pass would gather
+    more than _BLOCK_ENTRIES table entries (rows x kept sides x toggles per
+    row), every row is first scored on only the n kept sides of least ratio in
+    g: a least ratio over fewer sides is an integer upper bound on the row's
+    conductance.  `refine(rows)` then scans just those rows on every kept
+    side, with tables of only the pairs they toggle, and `refine_greatest`
+    refines just the rows whose bound can hold the greatest value.  Otherwise
+    one pass makes every row exact.
     """
-    n, k = g.n, toggles.shape[1]
-    u, v = np.triu_indices(n, 1)
-    pad = len(u)
-    masks = np.array(g.adjacency_masks, np.int64)
-    sign = np.zeros(pad + 1, np.int64)  # the pad toggles nothing
-    sign[:pad] = 1 - 2 * (masks[u] >> v & 1)
-    total = 2 * g.m + 2 * sign[toggles].sum(axis=1)
-    best_num, best_den = np.ones(len(toggles), np.int64), np.zeros(len(toggles), np.int64)  # 1/0: no side yet
-    bound_num, bound_den = 1, 0
-    # a block's sides also bound the per-pair delta tables, which hold pad + 1 rows
-    width = max(1, _BLOCK_ENTRIES // (pad + 1)) if k else _BLOCK_ENTRIES
-    for start, cut, vol in _cut_table(g):
-        first = int(start == 0)  # mask 0, the empty side, is no cut
-        cut, vol = cut[first:], vol[first:]
-        if k:
-            side = np.arange(first, first + len(cut))
+
+    def __init__(self, g: Graph, toggles: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]):
+        self.n, self.k, pad = g.n, toggles.shape[1], len(pairs[0])
+        masks = np.array(g.adjacency_masks, np.int64)
+        # the pad toggles nothing: vertex 0 with itself, with sign 0
+        self.u, self.v = np.append(pairs[0], 0), np.append(pairs[1], 0)
+        self.sign = np.zeros(pad + 1, np.int64)
+        self.sign[:pad] = 1 - 2 * (masks[pairs[0]] >> pairs[1] & 1)
+        self.toggles, self.total = toggles, 2 * g.m + 2 * self.sign[toggles].sum(axis=1)
+        rows, chunks, one_chunk = np.arange(len(toggles)), self._kept_sides(g), g.n - 1 <= _CHUNK_BITS
+        if one_chunk:  # small enough to keep for `refine`
+            chunks = self.sides = list(chunks)
+        if one_chunk and len(toggles) * len(chunks[0][1]) * self.k > _BLOCK_ENTRIES:
+            side, cut, vol = chunks[0]
+            ratio = cut / np.maximum(np.minimum(vol, 2 * g.m - vol), 1)
+            few = np.argsort(ratio, kind="stable")[: self.n]  # ties to the lesser mask
+            self.num, self.den = self._scan(rows, [(side[few], cut[few], vol[few])])
+            self.exact = np.zeros(len(toggles), bool)
+        else:
+            self.num, self.den = self._scan(rows, chunks)
+            self.exact = np.ones(len(toggles), bool)
+
+    def _kept_sides(self, g: Graph):
+        """Per chunk of g's cut table, the sides some row can reach its least ratio on:
+        (mask, cut, vol), three int64 arrays; without toggles every side, and no masks."""
+        k = self.k
+        bound_num, bound_den = 1, 0
+        for start, cut, vol in _cut_table(g):
+            first = int(start == 0)  # mask 0, the empty side, is no cut
+            cut, vol = cut[first:], vol[first:]
+            if not k:
+                yield None, cut, vol
+                continue
             # k toggles move a boundary by at most k and min(vol, 2m - vol) by at most 2k, so no
             # candidate reaches its least ratio on a side whose least reachable ratio is above
             # the greatest reachable ratio of some side
@@ -226,34 +270,71 @@ def _toggled_conductance(g: Graph, toggles: np.ndarray) -> tuple[np.ndarray, np.
             if (cut[top] + k) * bound_den < bound_num * top_den[top]:
                 bound_num, bound_den = int(cut[top]) + k, int(top_den[top])
             keep = np.flatnonzero((cut - k) * bound_den <= bound_num * (min_vol + 2 * k))
-            side, cut, vol = side[keep], cut[keep], vol[keep]
-        for lo in range(0, len(cut), width):
-            rows = max(1, _BLOCK_ENTRIES // len(cut[lo : lo + width]))
-            if k:
-                bits = (start + side[lo : lo + width]) >> np.arange(n)[:, None] & 1
-                d_cut, d_vol = np.zeros((2, pad + 1, len(bits[0])), np.int64)
-                np.multiply(bits[u] ^ bits[v], sign[:pad, None], out=d_cut[:pad])
-                np.multiply(bits[u] + bits[v], sign[:pad, None], out=d_vol[:pad])
-            for r in range(0, len(toggles), rows):
-                block = toggles[r : r + rows]
-                c, vl = np.atleast_2d(cut[lo : lo + width]), np.atleast_2d(vol[lo : lo + width])
+            yield start + first + keep, cut[keep], vol[keep]
+
+    def _scan(self, rows: np.ndarray, chunks) -> tuple[np.ndarray, np.ndarray]:
+        """The least ratio of each of `rows` over the sides of `chunks`."""
+        toggles, total, k = self.toggles[rows], self.total[rows], self.k
+        used = np.arange(len(self.sign))
+        if len(rows) < len(self.toggles):  # tables of only the pairs these rows toggle
+            used, toggles = np.unique(toggles, return_inverse=True)
+            toggles = toggles.reshape(len(rows), k)
+        u, v, sign = self.u[used], self.v[used], self.sign[used, None]
+        width = max(1, _BLOCK_ENTRIES // len(used)) if k else _BLOCK_ENTRIES  # sides per table
+        best_num, best_den = np.ones(len(rows), np.int64), np.zeros(len(rows), np.int64)  # 1/0: no side yet
+        for side, cut, vol in chunks:
+            for lo in range(0, len(cut), width):
+                c0, v0 = np.atleast_2d(cut[lo : lo + width]), np.atleast_2d(vol[lo : lo + width])
                 if k:
-                    c, vl = c + d_cut[block[:, 0]], vl + d_vol[block[:, 0]]
-                for t in range(1, k):
-                    c += d_cut[block[:, t]]
-                    vl += d_vol[block[:, t]]
-                den = total[r : r + rows, None] - vl
-                np.minimum(den, vl, out=den)
-                np.maximum(den, 1, out=den)
-                b_num, b_den = best_num[r : r + rows], best_den[r : r + rows]
-                if b_den.all() and not (c * b_den[:, None] < b_num[:, None] * den).any():
-                    continue  # the block lowers no running minimum
-                at = np.arange(len(c)), _least_ratio(c, den).argmax(axis=1)
-                num_i, den_i = c[at], den[at]
-                lower = num_i * b_den < b_num * den_i
-                np.copyto(b_num, num_i, where=lower)
-                np.copyto(b_den, den_i, where=lower)
-    return best_num, best_den
+                    bits = side[lo : lo + width] >> np.arange(self.n)[:, None] & 1
+                    d_cut, d_vol = (bits[u] ^ bits[v]) * sign, (bits[u] + bits[v]) * sign
+                step = max(1, _BLOCK_ENTRIES // c0.shape[1])
+                for r in range(0, len(rows), step):
+                    block = toggles[r : r + step]
+                    c, vl = (c0 + d_cut[block[:, 0]], v0 + d_vol[block[:, 0]]) if k else (c0, v0)
+                    for t in range(1, k):
+                        c += d_cut[block[:, t]]
+                        vl += d_vol[block[:, t]]
+                    den = total[r : r + step, None] - vl
+                    np.minimum(den, vl, out=den)
+                    np.maximum(den, 1, out=den)
+                    b_num, b_den = best_num[r : r + step], best_den[r : r + step]
+                    if b_den.all() and not (c * b_den[:, None] < b_num[:, None] * den).any():
+                        continue  # the block lowers no running minimum
+                    at = np.arange(len(c)), _least_ratio(c, den).argmax(axis=1)
+                    num_i, den_i = c[at], den[at]
+                    lower = num_i * b_den < b_num * den_i
+                    np.copyto(b_num, num_i, where=lower)
+                    np.copyto(b_den, den_i, where=lower)
+        return best_num, best_den
+
+    def refine(self, rows: np.ndarray) -> None:
+        """Make the value of each of `rows` exact."""
+        rows = rows[~self.exact[rows]]
+        if len(rows):
+            self.num[rows], self.den[rows] = self._scan(rows, self.sides)
+            self.exact[rows] = True
+
+    def refine_greatest(self, ties: bool = False) -> None:
+        """Refine rows, greatest bound first in groups of 1, 2, 4, ..., until no
+        other row's bound is above (with `ties`, at least) the greatest exact
+        value.  Then the greatest value is exact, and with `ties` so is every
+        row that holds it."""
+        if self.exact.all():
+            return
+        order = np.argsort(-self.num / self.den, kind="stable")
+        size = 1
+        while True:
+            open_ = ~self.exact[order]
+            if not open_.all():
+                top = _greatest_ratio(self.num[self.exact], self.den[self.exact])
+                over = self.num[order] * top.denominator - top.numerator * self.den[order]
+                open_ &= over >= 0 if ties else over > 0
+            pending = order[open_]
+            if not len(pending):
+                return
+            self.refine(pending[:size])
+            size *= 2
 
 
 def conductance_exact(g: Graph, exact_limit: int = EXACT_CONDUCTANCE_LIMIT) -> Cut:

@@ -3,7 +3,9 @@
 Both decision solvers share one search over edge toggles (the symmetric-difference
 metric treats each vertex pair as a binary toggle): every set of size <= K in
 (size, lex) order, scored in blocks.  The conductance problem scores a block from
-the base graph's cut table as integer changes to each side's boundary and volume;
+the base graph's cut table as integer changes to each side's boundary and volume,
+and on large blocks scans in full only the sets whose upper bound lets them be the
+first witness or the maximum;
 the spectral problem scores a block's float mu2 with one stacked `eigvalsh` and
 decides each candidate up to the first witness exactly: floats choose the proof
 (`sturm.guided_mu2_leq`), and integers decide it.
@@ -26,7 +28,7 @@ from .cuts import (
     EXACT_CONDUCTANCE_LIMIT,
     _greatest_ratio,
     _least_ratio,
-    _toggled_conductance,
+    _ToggledConductance,
     conductance_exact,
     conductance_sweep,
 )
@@ -108,6 +110,33 @@ def _toggle_edit_set(g: Graph, toggles) -> EditSet:
     return EditSet(additions=toggles - g.edges, removals=toggles & g.edges)
 
 
+def _toggle_blocks(num_pairs: int, budget: int, rows: int):
+    """Every set of at most `budget` of `num_pairs` pairs in (size, lex) order,
+    `rows` sets at a time: int64 rows of pair indices, padded with num_pairs to
+    the block's largest set."""
+
+    def padded(parts):
+        block = np.full((sum(map(len, parts)), parts[-1].shape[1]), num_pairs, np.int64)
+        top = 0
+        for part in parts:
+            block[top : top + len(part), : part.shape[1]] = part
+            top += len(part)
+        return block
+
+    parts, filled = [], 0
+    for j in range(budget + 1):
+        sets, left = combinations(range(num_pairs), j), math.comb(num_pairs, j)
+        while left:
+            take = min(left, rows - filled)
+            parts.append(np.fromiter(chain.from_iterable(islice(sets, take)), np.int64, take * j).reshape(take, j))
+            left, filled = left - take, filled + take
+            if filled == rows:
+                yield padded(parts)
+                parts, filled = [], 0
+    if parts:
+        yield padded(parts)
+
+
 def _search(g: Graph, pairs: tuple[np.ndarray, np.ndarray], budget: int, max_candidates: int, rows: int, score, best):
     """Decide over every toggle set of size 0..budget in (size, lex) order.
 
@@ -121,15 +150,12 @@ def _search(g: Graph, pairs: tuple[np.ndarray, np.ndarray], budget: int, max_can
     total = sum(math.comb(len(u), j) for j in range(budget + 1))
     if total > max_candidates:
         raise SearchSpaceTooLarge(f"{total} candidate edit sets exceed the cap of {max_candidates}")
-    sets = chain.from_iterable(combinations(range(len(u)), j) for j in range(budget + 1))
     values, witness = [], None
-    while block := list(islice(sets, rows)):
-        width = len(block[-1])
-        toggles = np.array([s + (len(u),) * (width - len(s)) for s in block], np.int64).reshape(len(block), width)
+    for toggles in _toggle_blocks(len(u), budget, rows):
         value, hit = score(toggles, witness is None)
         values.append(value)
         if witness is None and hit is not None:
-            witness = _toggle_edit_set(g, ((int(u[i]), int(v[i])) for i in block[hit]))
+            witness = _toggle_edit_set(g, ((int(u[i]), int(v[i])) for i in toggles[hit] if i < len(u)))
     return Decision("yes" if witness is not None else "no", witness, float(best(values)))
 
 
@@ -149,26 +175,40 @@ def decide_groc(
 ) -> Decision:
     """Exhaustive exact solve of the conductance rewiring decision.
 
-    Toggle sets are scored in blocks of _BLOCK_ENTRIES, each block by one pass
-    over the base graph's cut table that applies every toggle as integer deltas
-    to each side's boundary and volume (`cuts._toggled_conductance`); phi >= phi0
-    is decided by integer cross-multiplication.  Returns yes with the first
-    witness in (size, lex) order; value_achieved is the maximum conductance over
-    the whole search.
+    Toggle sets are scored in blocks of _BLOCK_ENTRIES against the base graph's
+    cut table, each toggle applied as integer deltas to each side's boundary and
+    volume (`cuts._ToggledConductance`); phi >= phi0 is decided by integer
+    cross-multiplication.  On a large block every set first gets an integer
+    upper bound U from a few sides, and only two kinds of set are scanned in
+    full: those with U >= phi0, in (size, lex) order in groups of 1, 2, 4, ...
+    until the first exact hit, and those whose U exceeds the greatest exact
+    value found, greatest U first.  A skipped set can be neither the first
+    witness nor the maximum.  Returns yes with the first witness in (size, lex)
+    order; value_achieved is the maximum conductance over the whole search.
     """
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact conductance limited to n <= {exact_limit}, got {g.n}")
     phi0 = Fraction(inst.phi0)
+    pairs = np.triu_indices(g.n, 1)
 
     def score(toggles, find):
         if g.n < 2:  # raised here, after _search's cap check, so SearchSpaceTooLarge comes first
             raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
-        num, den = _toggled_conductance(g, toggles)
-        hits = np.flatnonzero(_at_least(num, den, phi0))
-        return _greatest_ratio(num, den), (int(hits[0]) if len(hits) else None)
+        phi = _ToggledConductance(g, toggles, pairs)
+        # a set whose bound is below phi0 is no witness, and an exact one that reaches phi0 is a
+        # hit; the rest are scanned in order, in growing groups, until the first hit
+        reach, hit, lo = np.flatnonzero(_at_least(phi.num, phi.den, phi0)) if find else (), None, 0
+        while hit is None and lo < len(reach):
+            group = reach[lo : 2 * lo + 1]
+            if not phi.exact[group].all():
+                phi.refine(group)
+                group = group[_at_least(phi.num[group], phi.den[group], phi0)]
+            hit, lo = (int(group[0]) if len(group) else None), 2 * lo + 1
+        phi.refine_greatest()
+        return _greatest_ratio(phi.num, phi.den), hit
 
-    return _search(g, np.triu_indices(g.n, 1), inst.budget_k, max_candidates, _BLOCK_ENTRIES, score, max)
+    return _search(g, pairs, inst.budget_k, max_candidates, _BLOCK_ENTRIES, score, max)
 
 
 def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: np.ndarray) -> np.ndarray:
@@ -283,11 +323,14 @@ def _objective_value(g: Graph, objective: str, exact_limit: int):
 
 def _best_conductance_toggle(g: Graph) -> tuple[tuple[int, int], Fraction]:
     """The first pair in pair order whose toggle gives g its greatest exact
-    conductance, and that conductance: one K = 1 batch over g's cut table."""
-    pairs = _all_pairs(g.n)
-    num, den = _toggled_conductance(g, np.arange(len(pairs))[:, None])
-    i = int(_least_ratio(-num, den).argmax())
-    return pairs[i], Fraction(int(num[i]), int(den[i]))
+    conductance, and that conductance: one K = 1 batch over g's cut table.  When
+    the batch is bounded, every pair whose bound reaches the greatest exact value
+    is scanned in full, so ties at the maximum keep the first pair."""
+    u, v = np.triu_indices(g.n, 1)
+    phi = _ToggledConductance(g, np.arange(len(u))[:, None], (u, v))
+    phi.refine_greatest(ties=True)
+    i = int(_least_ratio(-phi.num, phi.den).argmax())
+    return (int(u[i]), int(v[i])), Fraction(int(phi.num[i]), int(phi.den[i]))
 
 
 def greedy_rewire(

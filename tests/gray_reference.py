@@ -5,16 +5,19 @@ vectorised cut code in `rewirelab.cuts` replaced, kept as written there.
 toggle at a time in Python ints; c1 is taken from one `conductance_of` call
 per subset and every H-boundary from `_h_cut_width`.  `conductance_sweep`
 grows the Fiedler prefix one vertex at a time and keeps the first least phi
-(its dense `eigh` branch only, for n <= 2048).
+(its dense `eigh` branch only, for n <= 2048).  `min_bisection_exact` walks
+the balanced partitions with vertex 0 on the first side in lexicographic
+order (without its size checks).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from rewirelab import Cut, Graph, balance_cut, conductance_of, matrix_of
+from rewirelab import BisectionResult, Cut, Graph, balance_cut, conductance_of, matrix_of
 from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT, _boundary_and_volumes, _canonical_side
 from rewirelab.errors import EmptySide, ExactLimitExceeded
 from rewirelab.reductions import VERIFY_H_LIMIT, ExpanderEmbedding, ReductionConstants
@@ -172,3 +175,29 @@ def conductance_sweep(g: Graph) -> Cut:
     side = set(order[: best[1] + 1])
     boundary, vol_s, vol_c = _boundary_and_volumes(g, side)
     return Cut(tuple(sorted(side)), boundary, vol_s, vol_c, Fraction(boundary, min(vol_s, vol_c)))
+
+
+def min_bisection_exact(h: Graph) -> BisectionResult:
+    """Vertex 0's side is fixed so each unordered partition is visited once, in
+    lexicographic order (the first minimum found is the lex-smallest witness)."""
+    n = h.n
+    masks = h.adjacency_masks
+    deg = h.degrees
+    half = n // 2
+    best_width = None
+    best_set: tuple[int, ...] | None = None
+    for rest in combinations(range(1, n), half - 1):
+        mask = 1
+        sum_deg = deg[0]
+        for v in rest:
+            mask |= 1 << v
+            sum_deg += deg[v]
+        inside2 = (masks[0] & mask).bit_count()
+        for v in rest:
+            inside2 += (masks[v] & mask).bit_count()
+        width = sum_deg - inside2
+        if best_width is None or width < best_width:
+            best_width = width
+            best_set = (0,) + rest
+    assert best_width is not None and best_set is not None
+    return BisectionResult(best_width, best_set, exhaustive=True)

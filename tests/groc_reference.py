@@ -4,7 +4,9 @@ there.
 
 `_enumerate_toggles` yields the toggle sets one at a time in (size, lex) order,
 after `_check_search_space` has capped their count;
-`decide_groc` builds every toggled graph and calls `conductance_exact` on it;
+`decide_groc` builds every toggled graph and calls `conductance_exact` on it
+(`candidate_conductances` lists those values, and `decide_from` decides from
+such a list);
 `greedy_rewire` scores every single toggle the same way (or by sweep cut above
 the exact limit, and by lambda2 for the spectral-gap objective).
 """
@@ -42,6 +44,32 @@ def _enumerate_toggles(g: Graph, budget: int, max_candidates: int):
         yield from combinations(pairs, j)
 
 
+def candidate_conductances(
+    g: Graph,
+    budget: int,
+    exact_limit: int = EXACT_CONDUCTANCE_LIMIT,
+    max_candidates: int = MAX_EDIT_CANDIDATES,
+):
+    """Yield every toggle set in enumeration order with the exact conductance of its toggled graph."""
+    for toggles in _enumerate_toggles(g, budget, max_candidates):
+        yield toggles, conductance_exact(_toggled(g, toggles), exact_limit=exact_limit).phi
+
+
+def decide_from(g: Graph, candidates, phi0, decision_only: bool = False) -> Decision:
+    """The decision over `candidates`, (toggles, phi) pairs in enumeration order."""
+    best: Fraction | None = None
+    witness: EditSet | None = None
+    for toggles, phi in candidates:
+        if best is None or phi > best:
+            best = phi
+        if witness is None and phi >= phi0:
+            witness = _toggle_edit_set(g, toggles)
+            if decision_only:
+                break
+    answer = "yes" if witness is not None else "no"
+    return Decision(answer=answer, witness=witness, value_achieved=float(best))
+
+
 def decide_groc(
     inst: GrocInstance,
     exact_limit: int = EXACT_CONDUCTANCE_LIMIT,
@@ -57,19 +85,8 @@ def decide_groc(
     g = inst.graph
     if g.n > exact_limit:
         raise ExactLimitExceeded(f"exact conductance limited to n <= {exact_limit}, got {g.n}")
-    best: Fraction | None = None
-    witness: EditSet | None = None
-    for toggles in _enumerate_toggles(g, inst.budget_k, max_candidates):
-        candidate = _toggled(g, toggles)
-        phi = conductance_exact(candidate, exact_limit=exact_limit).phi
-        if best is None or phi > best:
-            best = phi
-        if witness is None and phi >= inst.phi0:
-            witness = _toggle_edit_set(g, toggles)
-            if decision_only:
-                break
-    answer = "yes" if witness is not None else "no"
-    return Decision(answer=answer, witness=witness, value_achieved=float(best))
+    candidates = candidate_conductances(g, inst.budget_k, exact_limit, max_candidates)
+    return decide_from(g, candidates, inst.phi0, decision_only)
 
 
 def _objective_value(g: Graph, objective: str, exact_limit: int):
