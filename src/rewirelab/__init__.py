@@ -74,4 +74,4 @@ from .spectral import (
     propagate,
     spectral_summary,
 )
-from .sturm import exact_mu2_leq, propagation_charpoly
+from .sturm import exact_mu2_leq

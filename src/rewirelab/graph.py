@@ -270,8 +270,8 @@ def _pair_stubs(stubs: Sequence[int]) -> set[Pair] | None:
     return pairs
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 500) -> Graph:
-    """Configuration-model sampling, retried until the pairing is simple.
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
+    """Configuration-model sampling, retried up to 500 times until the pairing is simple.
 
     Dense degrees (d > (n-1)/2) are generated as the complement of a sparse
     regular graph, where the pairing succeeds quickly.
@@ -281,7 +281,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 500) -> G
     if (n * d) % 2 != 0:
         raise InfeasibleParameters(f"n*d = {n}*{d} is odd; no {d}-regular graph on {n} vertices")
     if 2 * d > n - 1:
-        sparse = random_regular_graph(n, n - 1 - d, seed, max_retries)
+        sparse = random_regular_graph(n, n - 1 - d, seed)
         complement = frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse.edges
         )
@@ -290,13 +290,13 @@ def random_regular_graph(n: int, d: int, seed: int, max_retries: int = 500) -> G
         return Graph(n=n, edges=frozenset())
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_retries):
+    for _ in range(500):
         rng.shuffle(stubs)
         pairs = _pair_stubs(stubs)
         if pairs is not None:
             return Graph(n=n, edges=frozenset(pairs))
     raise InfeasibleParameters(
-        f"no simple {d}-regular pairing on {n} vertices found in {max_retries} tries"
+        f"no simple {d}-regular pairing on {n} vertices found in 500 tries"
     )
 
 

@@ -37,6 +37,7 @@ from .errors import (
     EdgeAbsent,
     EmptySide,
     ExactLimitExceeded,
+    OutOfRangeVertex,
     SameVertex,
     SearchSpaceTooLarge,
     SingularSystem,
@@ -105,11 +106,6 @@ def _toggled(g: Graph, toggles) -> Graph:
     return Graph(n=g.n, edges=g.edges ^ toggles) if toggles else g  # g keeps its cached views
 
 
-def _toggle_edit_set(g: Graph, toggles) -> EditSet:
-    toggles = frozenset(toggles)
-    return EditSet(additions=toggles - g.edges, removals=toggles & g.edges)
-
-
 def _toggle_blocks(num_pairs: int, budget: int, rows: int):
     """Every set of at most `budget` of `num_pairs` pairs in (size, lex) order,
     `rows` sets at a time: int64 rows of pair indices, padded with num_pairs to
@@ -155,7 +151,7 @@ def _search(g: Graph, pairs: tuple[np.ndarray, np.ndarray], budget: int, max_can
         value, hit = score(toggles, witness is None)
         values.append(value)
         if witness is None and hit is not None:
-            witness = _toggle_edit_set(g, ((int(u[i]), int(v[i])) for i in toggles[hit] if i < len(u)))
+            witness = edit_set_between(g, _toggled(g, ((int(u[i]), int(v[i])) for i in toggles[hit] if i < len(u))))
     return Decision("yes" if witness is not None else "no", witness, float(best(values)))
 
 
@@ -231,26 +227,22 @@ def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: n
 _HINT_ENTRIES = 1 << 10
 
 
-def _eigenvector_hints(mats: np.ndarray, eigs: np.ndarray, mode: str):
-    """Per propagation matrix and its eigenvalues, the hint pair `guided_mu2_leq` takes
-    when mu2 is above tau: an integer vector, 2^40 y / max|y| rounded, where y is
-    (D+I)^(-1/2) times the eigenvector of mu2, or in absolute mode of the least
-    eigenvalue when that one is larger in size; and whether it was the least one
-    (`lowest`).  The eigenvector is one step of inverse iteration from a fixed generic
-    vector, shifted 2^-40 off the eigenvalue: one LU solve per matrix, on one BLAS
-    thread, where `eigh` costs 4-8 times as much at n = 32-48 and keeps a second
-    OpenBLAS thread spinning.
+def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> list:
+    """Per propagation matrix and its float signed mu2, the integer vector
+    `guided_mu2_leq` takes when mu2 is above tau: 2^40 y / max|y| rounded, where y is
+    (D+I)^(-1/2) times the eigenvector of mu2.  The eigenvector is one step of inverse
+    iteration from a fixed generic vector, shifted 2^-40 off mu2: one LU solve per
+    matrix, on one BLAS thread, where `eigh` costs 4-8 times as much at n = 32-48 and
+    keeps a second OpenBLAS thread spinning.
     """
-    lowest = (-eigs[:, 0] > eigs[:, -2]) & (mode == "absolute")
     n = mats.shape[-1]
-    shifted = mats - (np.where(lowest, eigs[:, 0], eigs[:, -2]) + 2.0**-40)[:, None, None] * np.eye(n)
+    shifted = mats - (mu2 + 2.0**-40)[:, None, None] * np.eye(n)
     try:
         y = np.linalg.solve(shifted, np.cos(np.arange(n)))
     except np.linalg.LinAlgError:  # a shift on an eigenvalue after all: exact_mu2_leq decides
-        return zip([None] * len(mats), lowest.tolist())
+        return [None] * len(mats)
     y *= np.sqrt(np.diagonal(mats, axis1=1, axis2=2))
-    x = np.rint(y * (2.0**40 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64)
-    return zip(x.tolist(), lowest.tolist())
+    return np.rint(y * (2.0**40 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64).tolist()
 
 
 def decide_gros(
@@ -263,9 +255,10 @@ def decide_gros(
     Each block's float mu2 comes from one stacked `eigvalsh` of at most _BLOCK_ENTRIES
     float64 entries (one matrix at least).  value_achieved is the least of them over
     the whole search, informational only.  The threshold test runs per candidate up to
-    the first witness, and is exact: the float mu2, and above tau an eigenvector from
-    one shifted solve, only choose which integer proof `guided_mu2_leq` tries, with the
-    full inertia count of `exact_mu2_leq` at tau as its fallback.
+    the first witness, and is exact: the float mu2, and where the signed mu2 is above
+    tau its eigenvector from one shifted solve, only choose which integer proof
+    `guided_mu2_leq` tries, with the full inertia count of `exact_mu2_leq` at tau as
+    its fallback.
     """
     g = inst.graph
     if g.n > exact_limit:
@@ -277,20 +270,20 @@ def decide_gros(
 
     def first_hit(toggles, stack, eigs, mu2):
         """The first row whose candidate has mu2 <= tau.  One stacked solve gives the hints
-        of a chunk's rows whose float mu2 is above tau.  The first chunk holds
+        of a chunk's rows whose float signed mu2 is above tau; an absolute mu2 above tau
+        only through |mu_min| gets none, and is decided at tau.  The first chunk holds
         _HINT_ENTRIES float64 entries (one matrix at least) and each next one doubles the
         rows done, so hints past the witness cost no more than those before it."""
         start, first = 0, max(1, _HINT_ENTRIES // (n * n))
         while start < len(toggles):
             stop = min(len(toggles), 2 * start + first)
-            estimates = mu2[start:stop].tolist()
-            above = np.flatnonzero(mu2[start:stop] > float(tau)) if n > 1 else ()  # float picks, guided decides
-            hints = _eigenvector_hints(stack[start:stop][above], eigs[start:stop][above], mode) if len(above) else ()
+            estimates, signed = mu2[start:stop].tolist(), eigs[start:stop, -2]
+            above = np.flatnonzero(signed > float(tau)) if n > 1 else ()  # float picks, guided decides
+            hints = _eigenvector_hints(stack[start:stop][above], signed[above]) if len(above) else ()
             guesses = dict(zip(list(above), hints))
             for i, row in enumerate(toggles[start:stop].tolist()):
                 candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
-                vector, lowest = guesses.get(i, (None, False))
-                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i]), vector, lowest):
+                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i]), guesses.get(i)):
                     return start + i
             start = stop
         return None
@@ -315,9 +308,8 @@ def _objective_value(g: Graph, objective: str, exact_limit: int):
         if g.n <= exact_limit:
             return conductance_exact(g, exact_limit=exact_limit).phi
         return conductance_sweep(g).phi
-    # spectral_gap: lambda2 of the normalized Laplacian; undefined with isolated vertices
-    if min(g.degrees, default=1) == 0:
-        return None
+    # spectral_gap: lambda2 of the normalized Laplacian, 0 on one vertex; an isolated
+    # vertex among several raises IsolatedVertex
     return spectral_summary(g).lambda2
 
 
@@ -359,8 +351,11 @@ def greedy_rewire(
         else:
             best_pair = best_val = None
             for pair in _all_pairs(cur.n):
-                val = _objective_value(_toggled(cur, [pair]), objective, exact_limit)
-                if val is not None and val > cur_val + tol and (best_val is None or val > best_val):
+                cand = _toggled(cur, [pair])
+                if objective == "spectral_gap" and min(cand.degrees) == 0:
+                    continue  # a toggle that isolates a vertex leaves lambda2 undefined
+                val = _objective_value(cand, objective, exact_limit)
+                if val > cur_val + tol and (best_val is None or val > best_val):
                     best_pair, best_val = pair, val
         if best_pair is None or best_val <= cur_val + tol:
             break
@@ -373,14 +368,17 @@ def greedy_rewire(
 # -- effective resistance and curvature ----------------------------------------------
 
 
-def effective_resistance(g: Graph, u: int, v: int, dense_limit: int = DENSE_LIMIT) -> float:
+def effective_resistance(g: Graph, u: int, v: int) -> float:
     """(e_u - e_v)^T L^+ (e_u - e_v): electrical distance between two vertices."""
+    for w in (u, v):
+        if not 0 <= w < g.n:
+            raise OutOfRangeVertex(f"vertex {w} is outside [0,{g.n})")
     if u == v:
         raise SameVertex(f"effective resistance needs two distinct vertices, got {u} twice")
     comp = next(c for c in g.connected_components() if u in c)
     if v not in comp:
         raise DisconnectedPair(f"vertices {u} and {v} lie in different components")
-    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=dense_limit)
+    lap = matrix_of(g, "combinatorial_laplacian", dense_limit=DENSE_LIMIT)
     if isinstance(lap, np.ndarray):
         pinv = np.linalg.pinv(lap)
         return float(pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])

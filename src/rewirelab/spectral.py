@@ -82,16 +82,12 @@ def _second_largest_iterative(mat, top_vec: np.ndarray):
     return theta, residual
 
 
-def spectral_summary(
-    g: Graph,
-    augmented: bool = True,
-    dense_limit: int = DENSE_LIMIT,
-) -> SpectralSummary:
+def spectral_summary(g: Graph, augmented: bool = True) -> SpectralSummary:
     """Compute lambda2, mu2, mu_min and the decay slack for a graph.
 
-    Raises IsolatedVertex when a vertex has degree 0 (lambda2 needs the
-    normalized Laplacian).  Disconnected graphs are allowed and flagged; their
-    lambda2 is 0 and mu2 is 1 exactly.
+    Dense up to DENSE_LIMIT vertices, Lanczos above.  Raises IsolatedVertex when a
+    vertex has degree 0 (lambda2 needs the normalized Laplacian).  Disconnected
+    graphs are allowed and flagged; their lambda2 is 0 and mu2 is 1 exactly.
     """
     n = g.n
     if n == 0:
@@ -105,9 +101,9 @@ def spectral_summary(
         # Single vertex: P = [1]; mu2 is undefined, reported as the sole eigenvalue.
         return SpectralSummary(0.0, 1.0, 1.0, 1.0, "dense_exact", 0.0, True)
 
-    if n <= dense_limit:
-        lap = matrix_of(g, "normalized_laplacian", dense_limit=dense_limit)
-        prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=dense_limit)
+    if n <= DENSE_LIMIT:
+        lap = matrix_of(g, "normalized_laplacian", dense_limit=DENSE_LIMIT)
+        prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=DENSE_LIMIT)
         wl, vl = np.linalg.eigh(lap)
         wp, vp = np.linalg.eigh(prop)
         lambda2 = float(wl[1]) if connected else 0.0
@@ -125,8 +121,8 @@ def spectral_summary(
 
     deg = np.array(g.degrees, dtype=np.float64)
     d_eff = deg + 1.0 if augmented else deg
-    norm_adj = matrix_of(g, "propagation", augmented=False, dense_limit=dense_limit)
-    prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=dense_limit)
+    norm_adj = matrix_of(g, "propagation", augmented=False, dense_limit=DENSE_LIMIT)
+    prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=DENSE_LIMIT)
 
     try:
         residuals = []

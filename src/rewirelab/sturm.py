@@ -13,9 +13,10 @@ caller's float spectrum, passed in as a rational estimate and an integer vector,
 only chooses which proof to try.  "No" is a two-vector Courant-Fischer check in
 O(n + m): the all-ones vector is the exact top eigenvector of the pencil, since
 (A+I)1 = (D+I)1, and M positive definite on span{1, x} has two positive
-eigenvalues.  "Yes" is `exact_mu2_leq` at the simplest rational between the
+eigenvalues; x is the signed mu2's eigenvector, in both modes, since the absolute
+mu2 is never less.  "Yes" is `exact_mu2_leq` at the simplest rational between the
 estimate and tau, which has smaller entries than at tau; mu2 <= tau' <= tau.
-Any proof that fails falls back to `exact_mu2_leq` at tau.
+Anything else falls back to `exact_mu2_leq` at tau.
 
 The characteristic-polynomial path is kept as an independent oracle:
 det(x(D+I) - (A+I)) is an integer polynomial with the same roots (including
@@ -407,21 +408,18 @@ def _pencil_form(g: Graph, a: int, b: int, x: list[int]) -> int:
     return diag + 2 * a * sum(x[i] * x[j] for i, j in g.edges)
 
 
-def _certifies_above(g: Graph, tau: Fraction, x: list[int], lowest: bool) -> bool:
+def _certifies_above(g: Graph, tau: Fraction, x: list[int]) -> bool:
     """An integer proof that mu2 > tau, from the all-ones vector and x (Courant-Fischer).
 
     With M = q(A+I) - p(D+I), M1 = (q - p)(D+I)1, so 1^T M 1 = (q - p)(2m + n) > 0
     when tau < 1.  Then M is positive definite on span{1, x}, and has two positive
     eigenvalues, when (1^T M 1)(x^T M x) > (1^T M x)^2; dividing by q - p:
-    (2m + n) x^T M x > (q - p)(sum (d_i + 1) x_i)^2.  With `lowest`, x^T M_ x > 0 for
-    M_ = -q(A+I) - p(D+I) puts an eigenvalue below -tau beside the one at 1, which
-    proves the absolute mu2 above tau.
+    (2m + n) x^T M x > (q - p)(sum (d_i + 1) x_i)^2.  The absolute mu2 is at least the
+    signed one, so the proof holds in both modes.
     """
     p, q = tau.numerator, tau.denominator
     if q <= p or len(x) != g.n:
         return False
-    if lowest:
-        return _pencil_form(g, -q, p, x) > 0
     weighted = sum((d + 1) * xi for d, xi in zip(g.degrees, x))
     return (2 * g.m + g.n) * _pencil_form(g, q, p, x) > (q - p) * weighted * weighted
 
@@ -441,27 +439,26 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 def guided_mu2_leq(
     g: Graph,
     tau,
-    mode: str = "signed",
-    exact_limit: int = EXACT_EIGEN_LIMIT,
-    estimate: Fraction | None = None,
-    vector: list[int] | None = None,
-    lowest: bool = False,
+    mode: str,
+    exact_limit: int,
+    estimate: Fraction,
+    vector: list[int] | None,
 ) -> bool:
     """`exact_mu2_leq(g, tau, mode)`, reached by a cheaper exact proof where the hints allow.
 
     The hints choose which proof to try; the answer rests on integers alone, so a
     wrong hint costs time, never the answer.  `estimate` is a rational guess of mu2.
-    Above tau, `vector` is an integer guess of the eigenvector that passes it
-    (`lowest`: of the least eigenvalue, in absolute mode), and `_certifies_above`
-    proves "no" in O(n + m).  Below tau, "yes" at the simplest rational tau' in
-    [(estimate + tau) / 2, tau] is "yes" at tau, and with a smaller denominator
-    than tau's its elimination is cheaper.  Anything else is decided at tau.
+    Above tau, `vector` is an integer guess of the eigenvector of the signed mu2, and
+    `_certifies_above` proves "no" in O(n + m) in either mode.  Below tau, "yes" at the
+    simplest rational tau' in [(estimate + tau) / 2, tau] is "yes" at tau, and with a
+    smaller denominator than tau's its elimination is cheaper.  Anything else, such
+    as an absolute mu2 above tau only through |mu_min|, is decided at tau.
     """
     _check_decision(g, mode, exact_limit)
     tau = Fraction(tau)
-    if g.n >= 2 and estimate is not None:
+    if g.n >= 2:
         if estimate > tau and vector is not None:
-            if _certifies_above(g, tau, vector, lowest and mode == "absolute"):
+            if _certifies_above(g, tau, vector):
                 return False
         elif estimate < tau:
             easier = _simplest_between((estimate + tau) / 2, tau)

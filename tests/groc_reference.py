@@ -21,7 +21,12 @@ from rewirelab import Decision, EditSet, Graph, GrocInstance, conductance_exact,
 from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT
 from rewirelab.errors import ExactLimitExceeded, SearchSpaceTooLarge
 from rewirelab.graph import edit_set_between
-from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _all_pairs, _toggle_edit_set, _toggled
+from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _all_pairs, _toggled
+
+
+def _toggle_edit_set(g: Graph, toggles) -> EditSet:
+    toggles = frozenset(toggles)
+    return EditSet(additions=toggles - g.edges, removals=toggles & g.edges)
 
 
 def _candidate_count(num_pairs: int, budget: int) -> int:

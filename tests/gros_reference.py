@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from groc_reference import _enumerate_toggles
+from groc_reference import _enumerate_toggles, _toggle_edit_set
 from rewirelab import Decision, EditSet, GrosInstance, exact_mu2_leq, matrix_of
 from rewirelab.errors import ExactLimitExceeded
-from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _toggle_edit_set, _toggled
+from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _toggled
 from rewirelab.sturm import EXACT_EIGEN_LIMIT
 
 

@@ -144,6 +144,15 @@ def test_rewire_budget_zero_identical_metrics(capsys, c4_file):
     assert report["before"] == report["after"]
 
 
+def test_rewire_greedy_isolated_vertex_exit_4(tmp_path, capsys):
+    iso = write_graph(tmp_path, "iso.txt", "4 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "rewire", "greedy", iso, "1")
+    assert code == 4 and out == ""
+    assert "vertex 3 has degree 0" in err
+    code, out, _ = run(capsys, "rewire", "greedy", write_graph(tmp_path, "k1.txt", "1 0\n"), "1")
+    assert code == 0 and json.loads(out)["trace"] == [0.0]
+
+
 def test_rewire_ppr_complete_graph_empty(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.txt", serialize_graph(parse_graph("4 4\n0 1\n0 3\n1 2\n2 3\n")))
     # complete graph: use gen

@@ -10,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_gnp
-from rewirelab import Graph, barbell_graph, build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of, sturm
+from rewirelab import (
+    Graph,
+    GrosInstance,
+    barbell_graph,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    decide_gros,
+    exact_mu2_leq,
+    matrix_of,
+    sturm,
+)
 from rewirelab.rewiring import _eigenvector_hints
 from rewirelab.sturm import _certifies_above, _simplest_between, guided_mu2_leq
 
@@ -33,13 +44,13 @@ def _fixed_graphs():
 
 
 def _hints(g, mode):
-    """The estimate and the hint pair `decide_gros` hands over for g when mu2 is above tau."""
+    """The estimate, and the vector `decide_gros` hands over for g when its signed mu2 is above tau."""
     if g.n < 2:
-        return Fraction(1), (None, False)
+        return Fraction(1), None
     mat = matrix_of(g, "propagation")
     eigs = np.linalg.eigvalsh(mat)
     mu2 = eigs[-2] if mode == "signed" else np.sort(np.abs(eigs))[-2]
-    return Fraction(float(mu2)), next(_eigenvector_hints(mat[None], eigs[None], mode))
+    return Fraction(float(mu2)), _eigenvector_hints(mat[None], eigs[None, -2])[0]
 
 
 def _thresholds(rng, estimate):
@@ -69,7 +80,7 @@ def test_guided_matches_exact_on_a_seeded_corpus(monkeypatch):
                 estimate, hint = _hints(g, mode)
                 for tau in _thresholds(rng, estimate):
                     calls.clear()
-                    got = guided_mu2_leq(g, tau, mode, 64, estimate, *(hint if estimate > tau else (None, False)))
+                    got = guided_mu2_leq(g, tau, mode, 64, estimate, hint if estimate > tau else None)
                     assert got == exact_mu2_leq(g, tau, mode), (g, tau, mode)
                     if not calls:
                         paths["no proof"] += 1
@@ -103,31 +114,52 @@ def _hinted_decisions(draw):
     q = draw(st.integers(1, 20))
     tau = Fraction(draw(st.integers(-q, q)), q)
     mode = draw(st.sampled_from(MODES))
-    estimate, (true_vector, _) = _hints(g, mode)
+    estimate, true_vector = _hints(g, mode)
     wrong = [tau, tau - Fraction(1, 7), tau + Fraction(1, 7), Fraction(0), Fraction(1)]
     estimate = draw(st.sampled_from([estimate] + wrong))
     vector = draw(
         st.sampled_from([None, [0] * n, [1] * n, true_vector])
         | st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n)
     )
-    return g, tau, mode, estimate, vector, draw(st.booleans())
+    return g, tau, mode, estimate, vector
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=_hinted_decisions())
 def test_a_hint_never_decides(case):
-    # wrong-side estimates, zero, all-ones and random vectors, either `lowest`
-    g, tau, mode, estimate, vector, lowest = case
-    assert guided_mu2_leq(g, tau, mode, 64, estimate, vector, lowest) == exact_mu2_leq(g, tau, mode)
+    # wrong-side estimates, zero, all-ones and random vectors
+    g, tau, mode, estimate, vector = case
+    assert guided_mu2_leq(g, tau, mode, 64, estimate, vector) == exact_mu2_leq(g, tau, mode)
 
 
 def test_no_proof_holds_only_above_tau():
     # the two-vector proof of mu2 > tau is a proof: it never passes at or above mu2
     c4 = cycle_graph(4)  # propagation eigenvalues 1, 1/3, 1/3, -1/3
     x = [1, 0, -1, 0]  # an eigenvector of 1/3; D + I is 3I, so no rescaling
-    assert _certifies_above(c4, Fraction(33, 100), x, False)
-    assert not _certifies_above(c4, Fraction(1, 3), x, False)
-    assert not _certifies_above(c4, Fraction(1, 3), [1, 1, 1, 1], False)
-    assert _certifies_above(c4, Fraction(33, 100), [1, -1, 1, -1], True)  # -1/3 < -33/100
-    assert not _certifies_above(c4, Fraction(1, 3), [1, -1, 1, -1], True)
-    assert not _certifies_above(c4, Fraction(1), x, False)  # tau = 1: 1^T M 1 = 0
+    assert _certifies_above(c4, Fraction(33, 100), x)
+    assert not _certifies_above(c4, Fraction(1, 3), x)
+    assert not _certifies_above(c4, Fraction(1, 3), [1, 1, 1, 1])
+    assert not _certifies_above(c4, Fraction(1), x)  # tau = 1: 1^T M 1 = 0
+
+
+def test_absolute_mu2_above_tau_through_mu_min_alone_is_decided_at_tau(monkeypatch):
+    # K3,3: propagation eigenvalues 1, 1/4 (four times) and -1/2.  At tau = 1/3 the signed
+    # mu2 is below tau and |mu_min| above it, so in absolute mode no proof applies, and
+    # the answer is the inertia count of exact_mu2_leq at tau.
+    k33 = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    tau = Fraction(1, 3)
+    assert exact_mu2_leq(k33, tau, "signed") and not exact_mu2_leq(k33, tau, "absolute")
+    calls = []
+
+    def counted(g, tau, *args):
+        calls.append((Fraction(tau), *args))
+        return exact_mu2_leq(g, tau, *args)
+
+    monkeypatch.setattr(sturm, "exact_mu2_leq", counted)
+    decision = decide_gros(GrosInstance(k33, 0, tau, "absolute"))
+    assert decision.answer == "no" and abs(decision.value_achieved - 0.5) < 1e-12
+    assert calls == [(tau, "absolute", 64)]
+    calls.clear()
+    estimate, vector = _hints(k33, "absolute")
+    assert estimate > tau and not guided_mu2_leq(k33, tau, "absolute", 64, estimate, vector)
+    assert calls == [(tau, "absolute", 64)]

@@ -25,9 +25,17 @@ from rewirelab import (
     ppr_matrix,
     ppr_rewire,
     resistance_matrix,
+    rewiring,
     sdrf_like_rewire,
 )
-from rewirelab.errors import DisconnectedPair, EdgeAbsent, SameVertex, SearchSpaceTooLarge
+from rewirelab.errors import (
+    DisconnectedPair,
+    EdgeAbsent,
+    IsolatedVertex,
+    OutOfRangeVertex,
+    SameVertex,
+    SearchSpaceTooLarge,
+)
 
 
 def test_decide_groc_spec_examples():
@@ -129,6 +137,17 @@ def test_greedy_trace_strictly_increasing():
         assert all(b > a for a, b in zip(trace, trace[1:]))
 
 
+def test_greedy_spectral_gap_scores_the_start_as_spectral_summary_does():
+    # lambda2 is 0 on one vertex and undefined with an isolated vertex among several
+    edits, trace = greedy_rewire(build_graph(1, []), 2)
+    assert edits.size == 0 and trace == [0.0]
+    with pytest.raises(IsolatedVertex):
+        greedy_rewire(build_graph(4, [(0, 1), (1, 2)]), 1)
+    # on the path 0-1-2-3 removing an end edge isolates a vertex: that toggle is skipped
+    edits, trace = greedy_rewire(build_graph(4, [(0, 1), (1, 2), (2, 3)]), 1)
+    assert edits.additions == {(0, 3)} and not edits.removals and trace[1] > trace[0]
+
+
 def test_greedy_never_beats_exact_solver():
     rng = random.Random(23)
     for _ in range(6):
@@ -151,19 +170,22 @@ def test_effective_resistance_errors():
         effective_resistance(cycle_graph(4), 1, 1)
     with pytest.raises(DisconnectedPair):
         effective_resistance(build_graph(4, [(0, 1), (2, 3)]), 0, 2)
+    for u, v in [(-1, 2), (0, 10), (4, 0)]:
+        with pytest.raises(OutOfRangeVertex):
+            effective_resistance(cycle_graph(4), u, v)
 
 
-def test_effective_resistance_solver_path_matches_dense():
+def test_effective_resistance_solver_path_matches_dense(monkeypatch):
     rng = random.Random(29)
     g = make_connected(rng, 9)
     # a second component on vertices 9..14: the solver grounds only the pair's component
     tail = make_connected(rng, 6)
     two_parts = build_graph(15, list(g.edges) + [(a + 9, b + 9) for a, b in tail.edges])
-    for graph, pairs in [(g, [(0, 5), (2, 7), (1, 8)]), (two_parts, [(0, 5), (1, 8), (9, 14), (10, 12)])]:
-        for u, v in pairs:
-            dense = effective_resistance(graph, u, v)
-            solved = effective_resistance(graph, u, v, dense_limit=2)
-            assert abs(dense - solved) < 1e-9
+    cases = [(g, 0, 5), (g, 2, 7), (g, 1, 8)] + [(two_parts, u, v) for u, v in [(0, 5), (1, 8), (9, 14), (10, 12)]]
+    dense = [effective_resistance(*case) for case in cases]
+    monkeypatch.setattr(rewiring, "DENSE_LIMIT", 2)
+    for case, want in zip(cases, dense):
+        assert abs(effective_resistance(*case) - want) < 1e-9
 
 
 def test_effective_resistance_is_a_metric():

@@ -12,6 +12,7 @@ from rewirelab import (
     decay_report_csv,
     dirichlet_energy,
     propagate,
+    spectral,
     spectral_summary,
 )
 from rewirelab.errors import DimensionMismatch, IsolatedVertex
@@ -78,10 +79,11 @@ def test_single_vertex_summary():
     assert s.lambda2 == 0.0 and s.mu2 == 1.0 and s.mu_min == 1.0
 
 
-def test_iterative_matches_dense():
+def test_iterative_matches_dense(monkeypatch):
     g = make_connected_regular(random.Random(2), 60, 3)
     dense = spectral_summary(g)
-    it = spectral_summary(g, dense_limit=10)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    it = spectral_summary(g)
     assert it.method == "iterative"
     assert abs(it.lambda2 - dense.lambda2) < 1e-7
     assert abs(it.mu2 - dense.mu2) < 1e-7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_connected_regular, make_gnp
-from rewirelab import build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of, propagation_charpoly
+from rewirelab import build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of
 from rewirelab.errors import ExactLimitExceeded
 from rewirelab.sturm import (
     bareiss_determinant,
@@ -13,6 +13,7 @@ from rewirelab.sturm import (
     count_roots_below,
     deflate_root,
     poly_gcd,
+    propagation_charpoly,
     sturm_chain,
 )
 
