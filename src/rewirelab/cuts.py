@@ -4,17 +4,18 @@ Conductance values are kept as Fractions so threshold comparisons in the
 decision solvers are never contaminated by floating point.  Exhaustive cut
 questions, minimum conductance and minimum bisection alike, read one numpy
 table of the boundary and volume of all 2^(n-1) sides, `_cut_table`, and take
-its least ratio with `_least_side`, which breaks ties to the lexicographically
-least side with one numpy sort over the tied masks.  `_ToggledConductance`
-reads the same table for every edge-toggled candidate of the conductance
-rewiring decision.  On large batches it first bounds each candidate from
-above by its least ratio over the n sides of least ratio in the base graph,
-and scans in full only the candidates the caller asks for: those whose bound
-can still make them the first witness or the maximum.  Every least ratio goes
-through one exact argmin, `_least_ratio`.  At the default exact limits, on
-3-regular graphs and a 2-core x86 Xeon, `conductance_exact` at n = 24 takes 32 ms,
-`min_bisection_exact` at n = 20 3.6 ms and `decide_groc` at K = 0 and n = 24 23 ms
-(medians of 5 runs); many tied least sides cost more (K_24: 0.45 s).
+its least ratio with `_least_side`.  That skips each chunk with no side that
+reaches the running least, and breaks ties by one rule: `_least_canonical`
+filters the chunk's tied masks, and the running least, vertex by vertex down to
+the lexicographically least side.  `_ToggledConductance` reads the same table
+for every edge-toggled candidate of the conductance rewiring decision.  On
+large batches it first bounds each candidate from above by its least ratio over
+the n sides of least ratio in the base graph, and scans in full only the
+candidates the caller asks for: those whose bound can still make them the first
+witness or the maximum.  Every least ratio goes through one exact argmin,
+`_least_ratio`.  At the default exact limits, on a 2-core x86 Xeon (medians of
+5 runs), `conductance_exact` takes 18 ms at n = 24 (3-regular) and 93 ms on
+K_24, and `min_bisection_exact` 3.3 ms at n = 20 (3-regular) and 7.9 ms on K_20.
 """
 
 from __future__ import annotations
@@ -164,15 +165,20 @@ def _least_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _least_canonical(masks: np.ndarray, n: int) -> int:
-    """Index of the mask whose `_canonical_side` is the lexicographically least."""
+    """Index of the mask whose `_canonical_side` is the lexicographically least.
+
+    Canonical sides hold vertex 0.  At each next vertex v the sides left agree
+    before v: one with no member from v on is a prefix of the rest, and least;
+    otherwise the sides that hold v, if any do, are the lesser."""
     canon = np.where(masks & 1, masks, ((1 << n) - 1) ^ masks)
-    member = canon >> np.arange(n)[:, None] & 1
-    later = canon >> np.arange(1, n + 1)[:, None] != 0  # a member after this vertex
-    # a member reads 1, a gap 2 before the side's last member and 0 after it: at the first
-    # vertex where two sides differ, the one that holds it is the lesser unless the other
-    # has ended there, so these digit strings order as the vertex lists do
-    digits = np.where(member == 1, 1, np.where(later, 2, 0))
-    return int(np.lexsort(digits[::-1])[0])
+    keep = np.arange(len(masks))
+    for v in range(1, n):
+        rest = canon[keep] >> v
+        if len(keep) == 1 or not rest.all():
+            return int(keep[rest.argmin()])
+        held = rest & 1 == 1
+        keep = keep[held] if held.any() else keep
+    return int(keep[0])
 
 
 def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
@@ -182,21 +188,22 @@ def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
     some chunk must have den > 0.  Returns (cut, side), decided by integer
     cross-multiplication, with ties broken to the least `_canonical_side`.
     """
-    best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no side yet
+    best_num, best_den, best = 1, 0, 0  # 1/0 stands for no side yet
     for start, cut, vol in _cut_table(g):
         den = den_of(start, cut, vol)
+        if best_den and not (cut * best_den <= best_num * den).any():
+            continue  # no side of the chunk reaches the running least
         tied = np.flatnonzero(_least_ratio(cut, den))
         if not len(tied):
             continue
         num, d = int(cut[tied[0]]), int(den[tied[0]])
         if num * best_den > best_num * d:
             continue
-        least = tied[0] if len(tied) == 1 else tied[_least_canonical(start + tied, g.n)]  # one side needs no sort
-        side = _canonical_side(start + int(least), g.n)
+        masks = start + tied
         if num * best_den == best_num * d:
-            side = min(side, best_side)
-        best_num, best_den, best_side = num, d, side
-    return best_num, best_side
+            masks = np.append(masks, best)
+        best_num, best_den, best = num, d, int(masks[_least_canonical(masks, g.n)])
+    return best_num, _canonical_side(best, g.n)
 
 
 def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
@@ -207,7 +214,7 @@ def _greatest_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
 
 
 class _ToggledConductance:
-    """Exact conductance num/den of g with each row of `toggles` applied.
+    """Exact conductance num/den of g with each row of `toggles` (k >= 1 columns) applied.
 
     A row holds indices into `pairs` = (u, v), the lexicographic pairs u < v,
     padded with their count.  Toggling (u, v), with s = -1 for an edge and +1
@@ -254,15 +261,12 @@ class _ToggledConductance:
 
     def _kept_sides(self, g: Graph):
         """Per chunk of g's cut table, the sides some row can reach its least ratio on:
-        (mask, cut, vol), three int64 arrays; without toggles every side, and no masks."""
+        (mask, cut, vol), three int64 arrays."""
         k = self.k
         bound_num, bound_den = 1, 0
         for start, cut, vol in _cut_table(g):
             first = int(start == 0)  # mask 0, the empty side, is no cut
             cut, vol = cut[first:], vol[first:]
-            if not k:
-                yield None, cut, vol
-                continue
             # k toggles move a boundary by at most k and min(vol, 2m - vol) by at most 2k, so no
             # candidate reaches its least ratio on a side whose least reachable ratio is above
             # the greatest reachable ratio of some side
@@ -282,18 +286,17 @@ class _ToggledConductance:
             used, toggles = np.unique(toggles, return_inverse=True)
             toggles = toggles.reshape(len(rows), k)
         u, v, sign = self.u[used], self.v[used], self.sign[used, None]
-        width = max(1, _BLOCK_ENTRIES // len(used)) if k else _BLOCK_ENTRIES  # sides per table
+        width = max(1, _BLOCK_ENTRIES // len(used))  # sides per table
         best_num, best_den = np.ones(len(rows), np.int64), np.zeros(len(rows), np.int64)  # 1/0: no side yet
         for side, cut, vol in chunks:
             for lo in range(0, len(cut), width):
-                c0, v0 = np.atleast_2d(cut[lo : lo + width]), np.atleast_2d(vol[lo : lo + width])
-                if k:
-                    bits = side[lo : lo + width] >> np.arange(self.n)[:, None] & 1
-                    d_cut, d_vol = (bits[u] ^ bits[v]) * sign, (bits[u] + bits[v]) * sign
-                step = max(1, _BLOCK_ENTRIES // c0.shape[1])
+                c0, v0 = cut[lo : lo + width], vol[lo : lo + width]
+                bits = side[lo : lo + width] >> np.arange(self.n)[:, None] & 1
+                d_cut, d_vol = (bits[u] ^ bits[v]) * sign, (bits[u] + bits[v]) * sign
+                step = max(1, _BLOCK_ENTRIES // len(c0))
                 for r in range(0, len(rows), step):
                     block = toggles[r : r + step]
-                    c, vl = (c0 + d_cut[block[:, 0]], v0 + d_vol[block[:, 0]]) if k else (c0, v0)
+                    c, vl = c0 + d_cut[block[:, 0]], v0 + d_vol[block[:, 0]]
                     for t in range(1, k):
                         c += d_cut[block[:, t]]
                         vl += d_vol[block[:, t]]

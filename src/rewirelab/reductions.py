@@ -726,8 +726,8 @@ def _mistyped_fields(value, shape: dict, path: str = "certificate") -> list[str]
 def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> ReductionCertificate:
     """Reconstruct and re-verify a certificate from its recorded inputs.
 
-    Raises MalformedHeader when an input is missing, has another JSON type than
-    `certificate_to_json` writes, or is a kind other than groc and gros.
+    Raises MalformedHeader when an input is missing, unparsable, of another JSON
+    type than `certificate_to_json` writes, or a kind other than groc and gros.
     `h_limit` caps the instance size of the re-verification, as in `verify_reduction`.
     """
     bad = _mistyped_fields(cert_json, _CERTIFICATE_INPUTS)
@@ -738,14 +738,14 @@ def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> Reduc
         h=parse_graph(cert_json["instance"]["graph"]), b=int(cert_json["instance"]["budget"])
     )
     raw_consts = cert_json["constants"]
-    consts = ReductionConstants(
-        c1=Fraction(raw_consts["c1"]),
-        c2=Fraction(raw_consts["c2"]),
-        c3=Fraction(raw_consts["c3"]),
-    )
+    try:
+        c1, c2, c3 = (Fraction(raw_consts[c]) for c in ("c1", "c2", "c3"))
+        floor = float(cert_json["pad_expander_floor"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedHeader(f"not a reduction certificate: a recorded number does not parse ({exc})") from None
+    consts = ReductionConstants(c1, c2, c3)
     # int() also turns a JSON true, which passes the int check, into 1
     seed = int(cert_json["seed"])
-    floor = float(cert_json["pad_expander_floor"])
     retries = int(cert_json["max_retries"])
     if cert_json["kind"] == "groc":
         _, skeleton = reduce_to_groc(inst, consts, floor, seed, retries)

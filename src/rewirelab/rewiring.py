@@ -5,7 +5,7 @@ metric treats each vertex pair as a binary toggle): every set of size <= K in
 (size, lex) order, scored in blocks.  The conductance problem scores a block from
 the base graph's cut table as integer changes to each side's boundary and volume,
 and on large blocks scans in full only the sets whose upper bound lets them be the
-first witness or the maximum;
+first witness or the maximum; budget 0 is one `conductance_exact` call;
 the spectral problem scores a block's float mu2 with one stacked `eigvalsh` and
 decides each candidate up to the first witness exactly: floats choose the proof
 (`sturm.guided_mu2_leq`), and integers decide it.
@@ -35,7 +35,6 @@ from .cuts import (
 from .errors import (
     DisconnectedPair,
     EdgeAbsent,
-    EmptySide,
     ExactLimitExceeded,
     OutOfRangeVertex,
     SameVertex,
@@ -179,8 +178,9 @@ def decide_groc(
     full: those with U >= phi0, in (size, lex) order in groups of 1, 2, 4, ...
     until the first exact hit, and those whose U exceeds the greatest exact
     value found, greatest U first.  A skipped set can be neither the first
-    witness nor the maximum.  Returns yes with the first witness in (size, lex)
-    order; value_achieved is the maximum conductance over the whole search.
+    witness nor the maximum.  The empty set alone (budget 0) is `conductance_exact`.
+    Returns yes with the first witness in (size, lex) order; value_achieved is
+    the maximum conductance over the whole search.
     """
     g = inst.graph
     if g.n > exact_limit:
@@ -189,8 +189,9 @@ def decide_groc(
     pairs = np.triu_indices(g.n, 1)
 
     def score(toggles, find):
-        if g.n < 2:  # raised here, after _search's cap check, so SearchSpaceTooLarge comes first
-            raise EmptySide("no proper nonempty cut exists on fewer than 2 vertices")
+        if not toggles.shape[1]:  # g alone (budget 0 or n < 2): its EmptySide follows _search's cap check
+            phi = conductance_exact(g, exact_limit).phi
+            return phi, 0 if find and phi >= phi0 else None
         phi = _ToggledConductance(g, toggles, pairs)
         # a set whose bound is below phi0 is no witness, and an exact one that reaches phi0 is a
         # hit; the rest are scanned in order, in growing groups, until the first hit

@@ -7,7 +7,9 @@ per subset and every H-boundary from `_h_cut_width`.  `conductance_sweep`
 grows the Fiedler prefix one vertex at a time and keeps the first least phi
 (its dense `eigh` branch only, for n <= 2048).  `min_bisection_exact` walks
 the balanced partitions with vertex 0 on the first side in lexicographic
-order (without its size checks).
+order (without its size checks).  `_least_side` and `_least_canonical` are
+the vectorised least-side scan as it was before its ties broke by a vertex
+filter: a digit-table `lexsort` per chunk, and a tuple `min` across chunks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from rewirelab import BisectionResult, Cut, Graph, balance_cut, conductance_of, matrix_of
-from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT, _boundary_and_volumes, _canonical_side
+from rewirelab.cuts import EXACT_CONDUCTANCE_LIMIT, _boundary_and_volumes, _canonical_side, _cut_table, _least_ratio
 from rewirelab.errors import EmptySide, ExactLimitExceeded
 from rewirelab.reductions import VERIFY_H_LIMIT, ExpanderEmbedding, ReductionConstants
 
@@ -201,3 +203,39 @@ def min_bisection_exact(h: Graph) -> BisectionResult:
             best_set = (0,) + rest
     assert best_width is not None and best_set is not None
     return BisectionResult(best_width, best_set, exhaustive=True)
+
+
+def _least_canonical(masks: np.ndarray, n: int) -> int:
+    """Index of the mask whose `_canonical_side` is the lexicographically least."""
+    canon = np.where(masks & 1, masks, ((1 << n) - 1) ^ masks)
+    member = canon >> np.arange(n)[:, None] & 1
+    later = canon >> np.arange(1, n + 1)[:, None] != 0  # a member after this vertex
+    # a member reads 1, a gap 2 before the side's last member and 0 after it: at the first
+    # vertex where two sides differ, the one that holds it is the lesser unless the other
+    # has ended there, so these digit strings order as the vertex lists do
+    digits = np.where(member == 1, 1, np.where(later, 2, 0))
+    return int(np.lexsort(digits[::-1])[0])
+
+
+def _least_side(g: Graph, den_of) -> tuple[int, tuple[int, ...]]:
+    """Least cut/den over the sides of the cut table with den > 0.
+
+    `den_of(start, cut, vol)` gives the integer denominators of one chunk, and
+    some chunk must have den > 0.  Returns (cut, side), decided by integer
+    cross-multiplication, with ties broken to the least `_canonical_side`.
+    """
+    best_num, best_den, best_side = 1, 0, None  # 1/0 stands for no side yet
+    for start, cut, vol in _cut_table(g):
+        den = den_of(start, cut, vol)
+        tied = np.flatnonzero(_least_ratio(cut, den))
+        if not len(tied):
+            continue
+        num, d = int(cut[tied[0]]), int(den[tied[0]])
+        if num * best_den > best_num * d:
+            continue
+        least = tied[0] if len(tied) == 1 else tied[_least_canonical(start + tied, g.n)]  # one side needs no sort
+        side = _canonical_side(start + int(least), g.n)
+        if num * best_den == best_num * d:
+            side = min(side, best_side)
+        best_num, best_den, best_side = num, d, side
+    return best_num, best_side

@@ -210,8 +210,19 @@ def test_verify_boolean_seed_exit_5(tmp_path, capsys, c4_file):
         lambda cert: 5,
         lambda cert: {**cert, "instance": {**cert["instance"], "budget": None}},
         lambda cert: {**cert, "kind": "foo"},
+        lambda cert: {**cert, "constants": {**cert["constants"], "c1": "1/0"}},
+        lambda cert: {**cert, "constants": {**cert["constants"], "c1": "abc"}},
+        lambda cert: {**cert, "pad_expander_floor": "abc"},
     ],
-    ids=["no-constants", "not-an-object", "null-budget", "unknown-kind"],
+    ids=[
+        "no-constants",
+        "not-an-object",
+        "null-budget",
+        "unknown-kind",
+        "zero-denominator-c1",
+        "unparsable-c1",
+        "unparsable-floor",
+    ],
 )
 def test_verify_malformed_certificate_exit_2(tmp_path, capsys, c4_file, tamper):
     prefix = str(tmp_path / "red")

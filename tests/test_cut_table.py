@@ -100,10 +100,48 @@ def test_tie_heavy_witnesses_match_gray_reference():
             assert cuts.min_bisection_exact(g) == gray_reference.min_bisection_exact(g), g
 
 
+def _clique_union(*sizes):
+    edges, start = [], 0
+    for size in sizes:
+        edges += [(start + u, start + v) for u in range(size) for v in range(u + 1, size)]
+        start += size
+    return build_graph(start, edges)
+
+
+def _tie_heavy(top):
+    graphs = [complete_graph(n) for n in range(2, top + 1)] + [build_graph(n, []) for n in range(2, top + 1)]
+    graphs += [_clique_union(a, n - a) for n in range(4, top + 1, 2) for a in (1, n // 2 - 1, n // 2)]
+    return graphs + [_clique_union(*sizes) for sizes in ((3, 3, 3, 3), (2, 5, 5), (4, 4, 4, 4, 4)) if sum(sizes) <= top]
+
+
+@pytest.mark.parametrize("chunk_bits, top", [(14, 20), (3, 14)])
+def test_tie_heavy_cuts_match_the_digit_table_reference(monkeypatch, chunk_bits, top):
+    # the reference breaks ties by a lexsort of each chunk's tied sides and a tuple min
+    # across chunks; the vertex filter must pick the same side, chunk edges included
+    monkeypatch.setattr(cuts, "_CHUNK_BITS", chunk_bits)
+    for g in _tie_heavy(top):
+        got = (conductance_exact(g) if g.m else None, cuts.min_bisection_exact(g) if g.n % 2 == 0 else None)
+        with monkeypatch.context() as m:
+            m.setattr(cuts, "_least_side", gray_reference._least_side)
+            want = (conductance_exact(g) if g.m else None, cuts.min_bisection_exact(g) if g.n % 2 == 0 else None)
+        assert got == want, (chunk_bits, g)
+
+
+def _shared_prefix_masks(rng, n, count):
+    """Masks below 2^(n-1) that agree on their low bits, up to a random length."""
+    low = rng.randrange(1 << (n - 1))
+    keep = rng.randrange(n - 1)
+    prefix = low & ((1 << keep) - 1)
+    masks = [prefix | rng.randrange(1 << (n - 1)) >> keep << keep for _ in range(count)]
+    return [mask or 1 for mask in masks + [prefix] * rng.randrange(2)]  # the prefix itself, at times
+
+
 def test_least_canonical_matches_tuple_order():
     rng = random.Random(77)
-    for n in (2, 3, 5, 9):
-        masks = [rng.randrange(1, 1 << (n - 1)) for _ in range(40)]
-        want = min(range(len(masks)), key=lambda i: cuts._canonical_side(masks[i], n))
-        got = cuts._least_canonical(np.array(masks, np.int64), n)
-        assert cuts._canonical_side(masks[got], n) == cuts._canonical_side(masks[want], n)
+    for n in (2, 3, 5, 9, 16, 24):
+        for masks in [[rng.randrange(1, 1 << (n - 1)) for _ in range(40)]] + [
+            _shared_prefix_masks(rng, n, rng.randrange(1, 30)) for _ in range(30)
+        ]:
+            want = min(range(len(masks)), key=lambda i: cuts._canonical_side(masks[i], n))
+            got = cuts._least_canonical(np.array(masks, np.int64), n)
+            assert cuts._canonical_side(masks[got], n) == cuts._canonical_side(masks[want], n), (n, masks)

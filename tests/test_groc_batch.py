@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gray_reference
 import groc_reference
 from conftest import make_connected, make_connected_regular, make_gnp
 from rewirelab import (
+    EditSet,
     Graph,
     GrocInstance,
     barbell_graph,
@@ -193,12 +195,48 @@ def test_decide_groc_compares_huge_denominators_exactly():
 
 def test_decide_groc_errors_keep_their_order():
     k6 = complete_graph(6)
-    with pytest.raises(ExactLimitExceeded):
-        decide_groc(GrocInstance(k6, 3, 0.5), exact_limit=5, max_candidates=1)
+    for k in (0, 3):
+        with pytest.raises(ExactLimitExceeded):
+            decide_groc(GrocInstance(k6, k, 0.5), exact_limit=5, max_candidates=1)
     with pytest.raises(SearchSpaceTooLarge):
         decide_groc(GrocInstance(Graph(n=1, edges=frozenset()), 0, 0.5), max_candidates=0)
-    with pytest.raises(EmptySide):
-        decide_groc(GrocInstance(Graph(n=1, edges=frozenset()), 2, 0.5))
+    for k in (0, 2):
+        with pytest.raises(EmptySide):
+            decide_groc(GrocInstance(Graph(n=1, edges=frozenset()), k, 0.5))
+
+
+def _budget0_graphs():
+    rng = random.Random(2121)
+    graphs = [build_graph(2, [(0, 1)]), build_graph(2, []), cycle_graph(7), complete_graph(6), barbell_graph(4)]
+    graphs += [build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), build_graph(5, [(0, 1), (1, 2), (2, 3)])]
+    return graphs + [make_connected(rng, rng.randrange(3, 12)) for _ in range(4)] + [make_gnp(rng, 9, 0.2)]
+
+
+def test_budget0_decision_is_conductance_exact(monkeypatch):
+    # the base graph alone: one conductance_exact call, and no toggled-conductance batch
+    calls = []
+    monkeypatch.setattr(rewiring, "conductance_exact", lambda *a: calls.append(a) or cuts.conductance_exact(*a))
+    monkeypatch.setattr(rewiring, "_ToggledConductance", None)
+    for g in _budget0_graphs():  # connected, disconnected, an isolated vertex, n = 2
+        phi = gray_reference.conductance_exact(g).phi
+        near = [phi, phi - Fraction(1, 1000), phi + Fraction(1, 1000), Fraction(0), Fraction(1)]
+        for phi0 in [x for x in near if 0 <= x <= 1]:
+            calls.clear()
+            got = decide_groc(GrocInstance(g, 0, phi0))
+            assert len(calls) == 1, (g, phi0)
+            assert got.answer == ("yes" if phi >= phi0 else "no"), (g, phi0)
+            assert got.witness == (EditSet(frozenset(), frozenset()) if phi >= phi0 else None)
+            assert got.value_achieved.hex() == float(phi).hex(), (g, phi0)
+
+
+def test_first_block_of_the_empty_set_alone(monkeypatch):
+    # one set per block: the empty set is scored on its own, as at budget 0, and each
+    # later set by a one-row toggled-conductance batch
+    monkeypatch.setattr(rewiring, "_BLOCK_ENTRIES", 1)
+    for g in [cycle_graph(5), complete_graph(4), build_graph(6, [(0, 1), (1, 2), (3, 4)]), barbell_graph(3)]:
+        best = Fraction(groc_reference.decide_groc(GrocInstance(g, 1, 1)).value_achieved).limit_denominator(10**6)
+        for phi0 in _thresholds(best):
+            _same(GrocInstance(g, 1, phi0))
 
 
 def test_decide_groc_single_vertex_exits_4(tmp_path, capsys):
