@@ -269,13 +269,15 @@ def _cmd_decide(args) -> int:
 def _cmd_rewire(args) -> int:
     g = _read_graph(args.graph_file)
     limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
+    if args.budget < 0:  # as greedy_rewire, sdrf_like_rewire and decide reject it
+        raise ValueError(f"budget must be >= 0, got {args.budget}")
     if args.heuristic == "greedy":
         edits, trace = greedy_rewire(g, args.budget, objective=args.objective, exact_limit=limit)
     elif args.heuristic == "sdrf":
         edits, trace = sdrf_like_rewire(g, args.budget, args.removal_fraction)
     else:
         edits, trace = ppr_rewire(g, args.alpha, args.epsilon, args.cap)
-        if args.budget >= 0 and len(edits.additions) > args.budget:
+        if len(edits.additions) > args.budget:
             keep = sorted(edits.additions)[: args.budget]
             edits = type(edits)(additions=frozenset(keep), removals=frozenset())
     after = apply_edits(g, edits)

@@ -16,6 +16,7 @@ the certificate format: it writes certificates and checks the ones it reads.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -193,8 +194,10 @@ def embed_instance(
     Each original vertex receives 3 - deg(v) round-robin edges into the pad set
     U; the residual degree demand inside U is completed by a seeded stub
     pairing, retried until simple and until the pad-internal Fiedler value
-    clears `pad_expander_floor`.
+    clears `pad_expander_floor`, which must be finite.
     """
+    if not math.isfinite(pad_expander_floor):
+        raise InfeasibleParameters(f"pad expander floor must be finite, got {pad_expander_floor}")
     n = h.n
     if n % 2 != 0 or n < 4:
         raise InfeasibleParameters(f"embedding needs an even vertex count >= 4, got {n}")
@@ -727,7 +730,8 @@ def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> Reduc
     """Reconstruct and re-verify a certificate from its recorded inputs.
 
     Raises MalformedHeader when an input is missing, unparsable, of another JSON
-    type than `certificate_to_json` writes, or a kind other than groc and gros.
+    type than `certificate_to_json` writes, a pad floor that is not finite, or a kind
+    other than groc and gros.
     `h_limit` caps the instance size of the re-verification, as in `verify_reduction`.
     """
     bad = _mistyped_fields(cert_json, _CERTIFICATE_INPUTS)
@@ -743,6 +747,8 @@ def rebuild_certificate(cert_json: dict, h_limit: int = VERIFY_H_LIMIT) -> Reduc
         floor = float(cert_json["pad_expander_floor"])
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedHeader(f"not a reduction certificate: a recorded number does not parse ({exc})") from None
+    if not math.isfinite(floor):
+        raise MalformedHeader(f"not a reduction certificate: pad_expander_floor {floor} is not finite")
     consts = ReductionConstants(c1, c2, c3)
     # int() also turns a JSON true, which passes the int check, into 1
     seed = int(cert_json["seed"])

@@ -223,11 +223,6 @@ def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: n
     return stack
 
 
-#: Entries in the first stack of proof hints `decide_gros` solves: below this, the fixed
-#: cost of a stacked solve (about 20 us) outweighs the rows it serves.
-_HINT_ENTRIES = 1 << 10
-
-
 def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> list:
     """Per propagation matrix and its float signed mu2, the integer vector
     `guided_mu2_leq` takes when mu2 is above tau: 2^40 y / max|y| rounded, where y is
@@ -255,11 +250,11 @@ def decide_gros(
 
     Each block's float mu2 comes from one stacked `eigvalsh` of at most _BLOCK_ENTRIES
     float64 entries (one matrix at least).  value_achieved is the least of them over
-    the whole search, informational only.  The threshold test runs per candidate up to
-    the first witness, and is exact: the float mu2, and where the signed mu2 is above
-    tau its eigenvector from one shifted solve, only choose which integer proof
-    `guided_mu2_leq` tries, with the full inertia count of `exact_mu2_leq` at tau as
-    its fallback.
+    the whole search, informational only.  Up to the first witness, each block then
+    makes one stacked shifted solve for the eigenvectors of every row whose float
+    signed mu2 is above tau, and tests its candidates in order; the test is exact: the
+    float mu2 and the eigenvector only choose which integer proof `guided_mu2_leq`
+    tries, with the full inertia count of `exact_mu2_leq` at tau as its fallback.
     """
     g = inst.graph
     if g.n > exact_limit:
@@ -269,33 +264,24 @@ def decide_gros(
     pairs = list(zip(u.tolist(), v.tolist()))
     adj = matrix_of(g, "adjacency", dense_limit=n)  # dense at every n: eigvalsh takes no CSR
 
-    def first_hit(toggles, stack, eigs, mu2):
-        """The first row whose candidate has mu2 <= tau.  One stacked solve gives the hints
-        of a chunk's rows whose float signed mu2 is above tau; an absolute mu2 above tau
-        only through |mu_min| gets none, and is decided at tau.  The first chunk holds
-        _HINT_ENTRIES float64 entries (one matrix at least) and each next one doubles the
-        rows done, so hints past the witness cost no more than those before it."""
-        start, first = 0, max(1, _HINT_ENTRIES // (n * n))
-        while start < len(toggles):
-            stop = min(len(toggles), 2 * start + first)
-            estimates, signed = mu2[start:stop].tolist(), eigs[start:stop, -2]
-            above = np.flatnonzero(signed > float(tau)) if n > 1 else ()  # float picks, guided decides
-            hints = _eigenvector_hints(stack[start:stop][above], signed[above]) if len(above) else ()
-            guesses = dict(zip(list(above), hints))
-            for i, row in enumerate(toggles[start:stop].tolist()):
-                candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
-                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i]), guesses.get(i)):
-                    return start + i
-            start = stop
-        return None
-
     def score(toggles, find):
         # mu2 is undefined on one vertex; it reads 1
         stack = _propagation_stack(adj, u, v, toggles) if n > 1 else None
         eigs = np.linalg.eigvalsh(stack) if n > 1 else np.ones((len(toggles), 2))
         mu2 = eigs[:, -2] if mode == "signed" else np.sort(np.abs(eigs))[:, -2]
         value = float(mu2[mu2.argmin()])  # argmin: the first of equal minima, as -0.0 and 0.0
-        return value, first_hit(toggles, stack, eigs, mu2) if find else None
+        if not find:
+            return value, None
+        # hints for the rows whose float signed mu2 is above tau; an absolute mu2 above tau
+        # only through |mu_min| gets none, and is decided at tau
+        signed = eigs[:, -2]
+        above = np.flatnonzero(signed > float(tau)) if n > 1 else ()  # float picks, guided decides
+        hints = dict(zip(above.tolist(), _eigenvector_hints(stack[above], signed[above]))) if len(above) else {}
+        for i, (row, estimate) in enumerate(zip(toggles.tolist(), mu2.tolist())):
+            candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
+            if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimate), hints.get(i)):
+                return value, i
+        return value, None
 
     rows = max(1, _BLOCK_ENTRIES // max(1, n * n))  # a stack of n x n float64 matrices
     return _search(g, (u, v), inst.budget_k, max_candidates, rows, score, min)

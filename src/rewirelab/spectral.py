@@ -194,19 +194,19 @@ def decay_report(
     actually holds; the mu2-only bound is reported for comparison and may be
     violated when |mu_min| > mu2.
     """
-    x = _check_features(g, x)
+    cur = _check_features(g, x)
     summary = spectral_summary(g, augmented=augmented)
-    e0 = dirichlet_energy(g, x, augmented=augmented)
     prop = matrix_of(g, "propagation", augmented=augmented)
     rows = []
-    cur = x
     for layer in range(max_layers + 1):
-        if layer > 0:
-            cur = prop @ cur
-        energy = float(np.sum(cur * (cur - prop @ cur)))
+        nxt = prop @ cur  # layer L's product is layer L + 1's features
+        energy = float(np.sum(cur * (cur - nxt)))
+        if layer == 0:
+            e0 = energy
         s_bound = (summary.slack ** (2 * layer)) * e0
         mu2_bound = (summary.mu2 ** (2 * layer)) * e0
         rows.append((layer, energy, s_bound, mu2_bound))
+        cur = nxt
     return rows
 
 

@@ -1,21 +1,33 @@
-"""Reference solver for the differential tests: the per-candidate spectral
-decision loop that the block-scored `rewirelab.rewiring.decide_gros` replaced,
-kept as written there.
+"""Reference solvers for the differential tests, kept as written in `rewirelab.rewiring`.
 
-Every toggle set in (size, lex) order builds its graph, a dense propagation
-matrix and one `eigvalsh` for the float mu2, and runs `exact_mu2_leq` until the
-first witness.
+`decide_gros` is the per-candidate spectral decision loop that the block-scored
+solver replaced: every toggle set in (size, lex) order builds its graph, a dense
+propagation matrix and one `eigvalsh` for the float mu2, and runs `exact_mu2_leq`
+until the first witness.
+
+`decide_gros_chunked` is the block-scored solver as it stood before it made one hint
+solve per block: it solved the proof hints of a block in doubling chunks, the first
+of _HINT_ENTRIES float64 entries.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 from groc_reference import _enumerate_toggles, _toggle_edit_set
 from rewirelab import Decision, EditSet, GrosInstance, exact_mu2_leq, matrix_of
 from rewirelab.errors import ExactLimitExceeded
-from rewirelab.rewiring import MAX_EDIT_CANDIDATES, _toggled
-from rewirelab.sturm import EXACT_EIGEN_LIMIT
+from rewirelab.rewiring import (
+    _BLOCK_ENTRIES,
+    MAX_EDIT_CANDIDATES,
+    _eigenvector_hints,
+    _propagation_stack,
+    _search,
+    _toggled,
+)
+from rewirelab.sturm import EXACT_EIGEN_LIMIT, guided_mu2_leq
 
 
 def decide_gros(
@@ -54,3 +66,63 @@ def decide_gros(
                 break
     answer = "yes" if witness is not None else "no"
     return Decision(answer=answer, witness=witness, value_achieved=best)
+
+
+#: Entries in the first stack of proof hints `decide_gros` solves: below this, the fixed
+#: cost of a stacked solve (about 20 us) outweighs the rows it serves.
+_HINT_ENTRIES = 1 << 10
+
+
+def decide_gros_chunked(
+    inst: GrosInstance,
+    exact_limit: int = EXACT_EIGEN_LIMIT,
+    max_candidates: int = MAX_EDIT_CANDIDATES,
+) -> Decision:
+    """Exhaustive solve of the spectral rewiring decision.
+
+    Each block's float mu2 comes from one stacked `eigvalsh` of at most _BLOCK_ENTRIES
+    float64 entries (one matrix at least).  value_achieved is the least of them over
+    the whole search, informational only.  The threshold test runs per candidate up to
+    the first witness, and is exact: the float mu2, and where the signed mu2 is above
+    tau its eigenvector from one shifted solve, only choose which integer proof
+    `guided_mu2_leq` tries, with the full inertia count of `exact_mu2_leq` at tau as
+    its fallback.
+    """
+    g = inst.graph
+    if g.n > exact_limit:
+        raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
+    n, tau, mode = g.n, inst.tau, inst.mode
+    u, v = np.triu_indices(n, 1)
+    pairs = list(zip(u.tolist(), v.tolist()))
+    adj = matrix_of(g, "adjacency", dense_limit=n)  # dense at every n: eigvalsh takes no CSR
+
+    def first_hit(toggles, stack, eigs, mu2):
+        """The first row whose candidate has mu2 <= tau.  One stacked solve gives the hints
+        of a chunk's rows whose float signed mu2 is above tau; an absolute mu2 above tau
+        only through |mu_min| gets none, and is decided at tau.  The first chunk holds
+        _HINT_ENTRIES float64 entries (one matrix at least) and each next one doubles the
+        rows done, so hints past the witness cost no more than those before it."""
+        start, first = 0, max(1, _HINT_ENTRIES // (n * n))
+        while start < len(toggles):
+            stop = min(len(toggles), 2 * start + first)
+            estimates, signed = mu2[start:stop].tolist(), eigs[start:stop, -2]
+            above = np.flatnonzero(signed > float(tau)) if n > 1 else ()  # float picks, guided decides
+            hints = _eigenvector_hints(stack[start:stop][above], signed[above]) if len(above) else ()
+            guesses = dict(zip(list(above), hints))
+            for i, row in enumerate(toggles[start:stop].tolist()):
+                candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
+                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i]), guesses.get(i)):
+                    return start + i
+            start = stop
+        return None
+
+    def score(toggles, find):
+        # mu2 is undefined on one vertex; it reads 1
+        stack = _propagation_stack(adj, u, v, toggles) if n > 1 else None
+        eigs = np.linalg.eigvalsh(stack) if n > 1 else np.ones((len(toggles), 2))
+        mu2 = eigs[:, -2] if mode == "signed" else np.sort(np.abs(eigs))[:, -2]
+        value = float(mu2[mu2.argmin()])  # argmin: the first of equal minima, as -0.0 and 0.0
+        return value, first_hit(toggles, stack, eigs, mu2) if find else None
+
+    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))  # a stack of n x n float64 matrices
+    return _search(g, (u, v), inst.budget_k, max_candidates, rows, score, min)

@@ -144,6 +144,13 @@ def test_rewire_budget_zero_identical_metrics(capsys, c4_file):
     assert report["before"] == report["after"]
 
 
+@pytest.mark.parametrize("heuristic", ["greedy", "sdrf", "ppr"])
+def test_rewire_negative_budget_exit_4(capsys, c4_file, heuristic):
+    # ppr kept every addition on a negative budget
+    code, out, err = run(capsys, "rewire", heuristic, c4_file, "-1")
+    assert (code, out, err) == (4, "", "error: budget must be >= 0, got -1\n")
+
+
 def test_rewire_greedy_isolated_vertex_exit_4(tmp_path, capsys):
     iso = write_graph(tmp_path, "iso.txt", "4 2\n0 1\n1 2\n")
     code, out, err = run(capsys, "rewire", "greedy", iso, "1")
@@ -213,6 +220,8 @@ def test_verify_boolean_seed_exit_5(tmp_path, capsys, c4_file):
         lambda cert: {**cert, "constants": {**cert["constants"], "c1": "1/0"}},
         lambda cert: {**cert, "constants": {**cert["constants"], "c1": "abc"}},
         lambda cert: {**cert, "pad_expander_floor": "abc"},
+        lambda cert: {**cert, "pad_expander_floor": "nan"},
+        lambda cert: {**cert, "pad_expander_floor": "inf"},
     ],
     ids=[
         "no-constants",
@@ -222,6 +231,8 @@ def test_verify_boolean_seed_exit_5(tmp_path, capsys, c4_file):
         "zero-denominator-c1",
         "unparsable-c1",
         "unparsable-floor",
+        "nan-floor",
+        "infinite-floor",
     ],
 )
 def test_verify_malformed_certificate_exit_2(tmp_path, capsys, c4_file, tamper):
@@ -233,6 +244,17 @@ def test_verify_malformed_certificate_exit_2(tmp_path, capsys, c4_file, tamper):
     code, out, err = run(capsys, "verify", str(cert_path))
     assert code == 2 and out == ""
     assert err.startswith("error: not a reduction certificate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem", ["groc", "gros"])
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "1e400"])
+def test_reduce_non_finite_pad_floor_exit_4(tmp_path, capsys, c4_file, problem, floor):
+    # nan passed every lambda2 < floor test, and inf failed only after every pad completion
+    prefix = str(tmp_path / "red")
+    code, out, err = run(capsys, "reduce", problem, c4_file, "2", f"--pad-floor={floor}", "--out-prefix", prefix)
+    assert code == 4 and out == ""
+    assert "pad expander floor must be finite" in err
+    assert not (tmp_path / "red.cert.json").exists()
 
 
 def test_verify_honours_exact_limit_n(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import spectral_reference
 from conftest import make_connected, make_connected_regular, make_gnp
 from rewirelab import (
     build_graph,
@@ -12,6 +13,7 @@ from rewirelab import (
     decay_report_csv,
     dirichlet_energy,
     propagate,
+    random_regular_graph,
     spectral,
     spectral_summary,
 )
@@ -164,6 +166,23 @@ def test_decay_bound_holds_on_random_graphs():
         x = np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(g.n)])
         for layer, energy, s_bound, _ in decay_report(g, x, 10):
             assert energy <= s_bound + 1e-9
+
+
+@pytest.mark.parametrize("augmented", [True, False])
+def test_decay_report_matches_reference_bytes(augmented):
+    # the reference makes two products per layer and a second propagation matrix; the rows
+    # must match by repr at the test process's OpenBLAS thread count (dense below 513
+    # vertices, CSR above)
+    rng = random.Random(2203)
+    graphs = [random_regular_graph(2000, 3, seed=2203), make_gnp(rng, 300, 0.05), make_gnp(rng, 40, 0.2)]
+    features = np.random.default_rng(2203)
+    for g in graphs:
+        assert min(g.degrees) > 0  # spectral_summary takes no isolated vertex
+        for cols in (1, 8):
+            x = features.standard_normal((g.n, cols))
+            got = decay_report(g, x, 32, augmented=augmented)
+            want = spectral_reference.decay_report(g, x, 32, augmented=augmented)
+            assert repr(got) == repr(want), (g.n, cols)
 
 
 def test_decay_csv_header():
