@@ -5,6 +5,10 @@ Exit codes are part of the contract: 0 yes/success, 1 no, 2 parse error,
 mismatch.  Output is deterministic for a fixed seed: JSON is emitted with
 sorted keys and thresholds are parsed as exact rationals ("p/q" or decimal
 strings), so no decimal noise enters a decision.
+
+At module level only the standard library and `errors` load: each command
+imports the modules it runs when it starts, so `decide` never loads the
+reductions or the spectral summaries, and `--version` loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,16 +18,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .cuts import (
-    EXACT_BISECTION_LIMIT,
-    EXACT_CONDUCTANCE_LIMIT,
-    cheeger_consistent,
-    cheeger_interval,
-    conductance_exact,
-)
 from .errors import (
+    DEFAULT_SEED,
     ConvergenceFailure,
     ExactLimitExceeded,
     MalformedEdgeLine,
@@ -31,35 +30,9 @@ from .errors import (
     RewireLabError,
     SearchSpaceTooLarge,
 )
-from .graph import Graph, apply_edits, generate, parse_graph, serialize_graph
-from .reductions import (
-    DEFAULT_SEED,
-    VERIFY_H_LIMIT,
-    BisectionInstance,
-    ReductionConstants,
-    certificate_json_text,
-    certificate_to_json,
-    rebuild_certificate,
-    reduce_to_groc,
-    reduce_to_gros,
-    scale_instance_between,
-    scale_instance_large,
-    verify_reduction,
-)
-from .rewiring import (
-    MAX_EDIT_CANDIDATES,
-    GrocInstance,
-    GrosInstance,
-    decide_groc,
-    decide_gros,
-    decision_to_json,
-    edit_set_to_json,
-    greedy_rewire,
-    ppr_rewire,
-    sdrf_like_rewire,
-)
-from .spectral import spectral_summary
-from .sturm import EXACT_EIGEN_LIMIT
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -68,7 +41,8 @@ EXIT_LIMIT = 3
 EXIT_PARAMS = 4
 EXIT_MISMATCH = 5
 
-_PARSE_ERRORS = (MalformedHeader, MalformedEdgeLine, json.JSONDecodeError, OSError)
+# UnicodeDecodeError is a ValueError, which would otherwise read as a parameter error
+_PARSE_ERRORS = (MalformedHeader, MalformedEdgeLine, json.JSONDecodeError, UnicodeDecodeError, OSError)
 _LIMIT_ERRORS = (ExactLimitExceeded, SearchSpaceTooLarge, ConvergenceFailure)
 
 
@@ -179,12 +153,17 @@ def _exact_limit_n(args, default: int) -> int:
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path) as fh:
+    from .graph import parse_graph
+
+    with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())
 
 
 def _metrics(g: Graph, exact_limit: int) -> dict:
     """Spectral and conductance numbers shared by analyze and rewire reports."""
+    from .cuts import cheeger_consistent, cheeger_interval, conductance_exact
+    from .spectral import spectral_summary
+
     out: dict = {"n": g.n, "m": g.m, "connected": g.is_connected()}
     try:
         summary = spectral_summary(g)
@@ -228,6 +207,8 @@ def _format_analyze(report: dict, fmt: str) -> str:
 
 
 def _cmd_gen(args) -> int:
+    from .graph import generate, serialize_graph
+
     g = generate(args.family, args.params, seed=args.seed)
     _emit(serialize_graph(g), args.output)
     return EXIT_YES
@@ -242,6 +223,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_analyze(args) -> int:
+    from .cuts import EXACT_CONDUCTANCE_LIMIT
+
     g = _read_graph(args.graph_file)
     limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
     report = _metrics(g, limit)
@@ -250,6 +233,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .cuts import EXACT_CONDUCTANCE_LIMIT
+    from .rewiring import MAX_EDIT_CANDIDATES, GrocInstance, GrosInstance, decide_groc, decide_gros, decision_to_json
+    from .sturm import EXACT_EIGEN_LIMIT
+
     g = _read_graph(args.graph_file)
     threshold = _rational(args.threshold)
     cap = MAX_EDIT_CANDIDATES if args.exact_limit_k is None else args.exact_limit_k
@@ -267,6 +254,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_rewire(args) -> int:
+    from .cuts import EXACT_CONDUCTANCE_LIMIT
+    from .graph import apply_edits
+    from .rewiring import edit_set_to_json, greedy_rewire, ppr_rewire, sdrf_like_rewire
+
     g = _read_graph(args.graph_file)
     limit = _exact_limit_n(args, EXACT_CONDUCTANCE_LIMIT)
     if args.budget < 0:  # as greedy_rewire, sdrf_like_rewire and decide reject it
@@ -297,6 +288,20 @@ def _default_c1(problem: str) -> str:
 
 
 def _cmd_reduce(args) -> int:
+    from .cuts import EXACT_BISECTION_LIMIT
+    from .graph import serialize_graph
+    from .reductions import (
+        VERIFY_H_LIMIT,
+        BisectionInstance,
+        ReductionConstants,
+        certificate_json_text,
+        reduce_to_groc,
+        reduce_to_gros,
+        scale_instance_between,
+        scale_instance_large,
+        verify_reduction,
+    )
+
     h = _read_graph(args.bisection_file)
     inst = BisectionInstance(h, args.budget)
     consts = ReductionConstants(
@@ -347,7 +352,9 @@ def _diff_json(a, b, path="") -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate_file) as fh:
+    from .reductions import VERIFY_H_LIMIT, certificate_to_json, rebuild_certificate
+
+    with open(args.certificate_file, encoding="utf-8") as fh:
         recorded = json.load(fh)
     rebuilt = rebuild_certificate(recorded, h_limit=_exact_limit_n(args, VERIFY_H_LIMIT))
     diffs = _diff_json(recorded, certificate_to_json(rebuilt))

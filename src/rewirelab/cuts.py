@@ -23,12 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptySide, ExactLimitExceeded, OddVertexCount, ZeroVolumeSide
 from .graph import Graph, matrix_of
-from .spectral import SpectralSummary, _lanczos_start
+
+if TYPE_CHECKING:
+    from .spectral import SpectralSummary
 
 #: Default ceiling for exhaustive cut enumeration (2^(n-1) - 1 candidate cuts).
 EXACT_CONDUCTANCE_LIMIT = 24
@@ -379,6 +382,8 @@ def conductance_sweep(g: Graph) -> Cut:
         _, vecs = np.linalg.eigh(lap)
     else:
         import scipy.sparse.linalg as spla
+
+        from .spectral import _lanczos_start
 
         _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
     fiedler = vecs[:, 1]

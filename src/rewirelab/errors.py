@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all rewirelab modules."""
+"""Exception hierarchy and default seed shared by all rewirelab modules.
+
+This module imports nothing, so the command line reads both before it loads
+any numerical module.
+"""
+
+#: Fixed default seed so every pipeline run is reproducible by construction.
+DEFAULT_SEED = 1729
 
 
 class RewireLabError(Exception):

@@ -310,8 +310,25 @@ def barbell_graph(k: int) -> Graph:
     return build_graph(2 * k, edges)
 
 
+#: The parameters each generator family takes, in command-line order.
+_FAMILY_PARAMS = {
+    "complete": ("n",),
+    "cycle": ("n",),
+    "gnp": ("n", "p"),
+    "random_regular": ("n", "d"),
+    "barbell": ("k",),
+}
+
+
 def generate(family: str, params: Sequence, seed: int = 0) -> Graph:
     """Dispatch a generator by name; used by the command-line surface."""
+    names = _FAMILY_PARAMS.get(family)
+    if names is None:
+        raise InfeasibleParameters(f"unknown graph family {family!r}")
+    if len(params) != len(names):
+        raise InfeasibleParameters(
+            f"family {family!r} takes {len(names)} parameter(s), {' '.join(names)}; got {len(params)}"
+        )
     if family == "complete":
         (n,) = params
         return complete_graph(int(n))
@@ -327,7 +344,6 @@ def generate(family: str, params: Sequence, seed: int = 0) -> Graph:
     if family == "barbell":
         (k,) = params
         return barbell_graph(int(k))
-    raise InfeasibleParameters(f"unknown graph family {family!r}")
 
 
 # -- text format --------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .cuts import (
     min_bisection_exact,
 )
 from .errors import (
+    DEFAULT_SEED,
     CertificationFailure,
     ConstantConditionViolated,
     DegreeTooHigh,
@@ -47,9 +48,6 @@ from .graph import Graph, _pair_stubs, build_graph, complete_graph, cycle_graph,
 from .rewiring import GrocInstance, GrosInstance
 from .spectral import spectral_summary
 from .sturm import exact_mu2_leq
-
-#: Fixed default seed so every pipeline run is reproducible by construction.
-DEFAULT_SEED = 1729
 
 #: Largest bisection side for which certificates are verified exhaustively.
 VERIFY_H_LIMIT = 8

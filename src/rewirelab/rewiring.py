@@ -42,7 +42,6 @@ from .errors import (
     SingularSystem,
 )
 from .graph import DENSE_LIMIT, EditSet, Graph, canonical_pair, edit_set_between, matrix_of
-from .spectral import spectral_summary
 from .sturm import EXACT_EIGEN_LIMIT, guided_mu2_leq
 
 #: Cap on the number of candidate edit sets a decision solver will enumerate.
@@ -290,14 +289,21 @@ def decide_gros(
 # -- greedy single-toggle ascent ----------------------------------------------------
 
 
-def _objective_value(g: Graph, objective: str, exact_limit: int):
+def _objective(objective: str, exact_limit: int):
+    """The value greedy ascends, as a function of the graph."""
     if objective == "conductance":
-        if g.n <= exact_limit:
-            return conductance_exact(g, exact_limit=exact_limit).phi
-        return conductance_sweep(g).phi
+
+        def phi(g: Graph):
+            if g.n <= exact_limit:
+                return conductance_exact(g, exact_limit=exact_limit).phi
+            return conductance_sweep(g).phi
+
+        return phi
     # spectral_gap: lambda2 of the normalized Laplacian, 0 on one vertex; an isolated
     # vertex among several raises IsolatedVertex
-    return spectral_summary(g).lambda2
+    from .spectral import spectral_summary
+
+    return lambda g: spectral_summary(g).lambda2
 
 
 def _best_conductance_toggle(g: Graph) -> tuple[tuple[int, int], Fraction]:
@@ -329,8 +335,9 @@ def greedy_rewire(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     tol = Fraction(0) if objective == "conductance" else 1e-12
+    value = _objective(objective, exact_limit)
     cur = g
-    cur_val = _objective_value(g, objective, exact_limit)
+    cur_val = value(g)
     trace = [float(cur_val)]
     for _ in range(budget):
         if objective == "conductance" and cur.n <= exact_limit:
@@ -341,7 +348,7 @@ def greedy_rewire(
                 cand = _toggled(cur, [pair])
                 if objective == "spectral_gap" and min(cand.degrees) == 0:
                     continue  # a toggle that isolates a vertex leaves lambda2 undefined
-                val = _objective_value(cand, objective, exact_limit)
+                val = value(cand)
                 if val > cur_val + tol and (best_val is None or val > best_val):
                     best_pair, best_val = pair, val
         if best_pair is None or best_val <= cur_val + tol:

@@ -53,6 +53,16 @@ def test_gen_parity_error_exit_4(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [(("gnp", "5"), "'gnp' takes 2 parameter(s), n p; got 1"), (("cycle", "4", "5"), "'cycle' takes 1 parameter(s), n; got 2")],
+)
+def test_gen_wrong_parameter_count_exit_4(capsys, argv, named):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (4, "")
+    assert named in err and "unpack" not in err
+
+
 def test_analyze_c4(capsys, c4_file):
     code, out, _ = run(capsys, "--format", "json", "analyze", c4_file)
     assert code == 0
@@ -77,6 +87,27 @@ def test_analyze_malformed_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{bad}"),
+        ("decide", "gros", "{bad}", "0", "1/2"),
+        ("decide", "groc", "{bad}", "0", "1/2"),
+        ("rewire", "sdrf", "{bad}", "1"),
+        ("reduce", "groc", "{bad}", "2"),
+        ("verify", "{bad}"),
+    ],
+)
+def test_file_that_is_not_utf8_exit_2(tmp_path, capsys, argv):
+    # UnicodeDecodeError is a ValueError: it read as a parameter error (exit 4)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = [a.format(bad=bad) for a in argv] + ["--out-prefix", str(tmp_path / "x")] * (argv[0] == "reduce")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "utf-8" in err and err.count("\n") == 1
 
 
 def test_decide_groc_exit_codes(capsys, c4_file):
@@ -304,7 +335,7 @@ def test_gen_deterministic_under_seed(capsys):
     assert out1 != out3
 
 
-_SCIPY_PROBE = """
+_PROBE = """
 import json, runpy, sys
 sys.argv = ["rewirelab"] + sys.argv[1:]
 code = None
@@ -312,17 +343,23 @@ try:
     runpy.run_module("rewirelab.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({
+    "code": code,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "rewirelab": sorted(m.split(".")[1] for m in sys.modules if m.startswith("rewirelab.")),
+    "numpy": "numpy" in sys.modules,
+}))
 """
 
 
 def _cli_child(cwd, *argv):
-    """Run the CLI in a fresh interpreter; returns its exit code and loaded scipy modules."""
+    """Run the CLI in a fresh interpreter; returns its exit code, the scipy
+    modules and the rewirelab submodules it loaded, and whether it loaded numpy."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        [sys.executable, "-c", _PROBE, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -347,6 +384,41 @@ def test_lanczos_analyze_imports_what_it_needs(tmp_path):
     child = _cli_child(tmp_path, "analyze", path, "--format", "json")
     assert child["code"] == 0
     assert "scipy.sparse.linalg" in child["scipy"]
+
+
+@pytest.mark.parametrize("problem", ["groc", "gros"])
+def test_decide_loads_neither_reductions_nor_spectral(tmp_path, c4_file, problem):
+    child = _cli_child(tmp_path, "decide", problem, c4_file, "1", "1/2")
+    assert child["code"] in (0, 1)
+    assert child["rewirelab"] == ["cuts", "errors", "graph", "rewiring", "sturm"]
+
+
+def test_small_analyze_loads_no_reductions_rewiring_or_scipy(tmp_path):
+    # n = 512 is DENSE_LIMIT, the largest graph on the dense path
+    n = 512
+    path = write_graph(tmp_path, "c512.txt", serialize_graph(build_graph(n, [(i, (i + 1) % n) for i in range(n)])))
+    child = _cli_child(tmp_path, "analyze", path, "--format", "json")
+    assert child["code"] == 0
+    assert child["rewirelab"] == ["cuts", "errors", "graph", "spectral"]
+    assert child["scipy"] == []
+
+
+def test_gen_and_version_load_only_what_they_run(tmp_path):
+    child = _cli_child(tmp_path, "gen", "cycle", "4")
+    assert child["code"] == 0
+    assert child["rewirelab"] == ["errors", "graph"]
+    child = _cli_child(tmp_path, "--version")
+    assert child["code"] == 0
+    assert child["rewirelab"] == ["errors"] and child["numpy"] is False
+
+
+@pytest.mark.parametrize("problem", ["groc", "gros"])
+def test_reduce_and_verify_load_reductions_in_a_fresh_process(tmp_path, c4_file, problem):
+    prefix = str(tmp_path / "red")
+    child = _cli_child(tmp_path, "reduce", problem, c4_file, "2", "--allow-unscaled", "--out-prefix", prefix)
+    assert child["code"] == 0 and "reductions" in child["rewirelab"]
+    child = _cli_child(tmp_path, "verify", prefix + ".cert.json")
+    assert child["code"] == 0 and "reductions" in child["rewirelab"]
 
 
 @st.composite

@@ -203,6 +203,12 @@ def test_generate_complete_and_barbell():
     assert b5.n == 10 and b5.m == 21
 
 
+@pytest.mark.parametrize(("family", "params"), [("gnp", [5]), ("cycle", [4, 5]), ("barbell", []), ("random_regular", [8])])
+def test_generate_wrong_parameter_count(family, params):
+    with pytest.raises(InfeasibleParameters, match=family):
+        generate(family, params)
+
+
 def test_generate_regular_parity_error():
     with pytest.raises(InfeasibleParameters):
         random_regular_graph(5, 3, seed=1)
