@@ -383,9 +383,10 @@ def conductance_sweep(g: Graph) -> Cut:
     else:
         import scipy.sparse.linalg as spla
 
-        from .spectral import _lanczos_start
+        from .spectral import _lanczos_start, _one_scipy_blas_thread
 
-        _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
+        with _one_scipy_blas_thread():
+            _, vecs = spla.eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=_lanczos_start(g.n))
     fiedler = vecs[:, 1]
     order = sorted(range(g.n), key=lambda v: (fiedler[v], v))
     pos = np.empty(g.n, np.int64)

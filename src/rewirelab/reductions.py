@@ -561,7 +561,9 @@ def _forward_chain_gros(
     return terms
 
 
-def _reverse_chain_gros(cert: ReductionCertificate, lambda2_g: float, mu2_leq_tau: bool) -> dict:
+def _reverse_chain_gros(
+    cert: ReductionCertificate, lambda2_g: float, mu2_leq_tau: bool, g_limit: int = 2 * VERIFY_H_LIMIT
+) -> dict:
     """delta, sqrt(2 delta) and the extraction/balancing contradiction terms."""
     h, b = cert.instance.h, cert.instance.b
     n = h.n
@@ -569,7 +571,7 @@ def _reverse_chain_gros(cert: ReductionCertificate, lambda2_g: float, mu2_leq_ta
     delta = 2 * c1 * Fraction(b + n, n) + cert.constants.epsilon
     sqrt_2_delta = float(2 * delta) ** 0.5
     eps_cut = 2.0 * float(3 * c1 * Fraction(max(b, 1), n)) ** 0.5
-    cut = conductance_exact(cert.embedding.g)
+    cut = conductance_exact(cert.embedding.g, exact_limit=g_limit)
     terms = _extraction_terms(h, cut.subset)
     del terms["balanced_side"]  # spectral certificates record only the balanced width and factor
     terms.update(
@@ -598,7 +600,8 @@ def verify_reduction(
     and the other is recorded as {"applicable": False}.  Returns the completed
     certificate.  Agreement is whether the reduction's biconditional (bisection
     width <= B iff rewiring instance is NO) held on this finite instance with
-    the configured constants.
+    the configured constants.  `h_limit` caps h.n; every exact scan of H runs at
+    that limit and every exact scan or decision on G, with 2 h.n vertices, at twice it.
     """
     if inst != cert.instance:
         raise InfeasibleParameters("certificate does not belong to this instance")
@@ -606,12 +609,13 @@ def verify_reduction(
     if h.n > h_limit:
         raise ExactLimitExceeded(f"verification limited to h.n <= {h_limit}, got {h.n}")
     g = cert.embedding.g
-    truth = min_bisection_exact(h)
+    g_limit = 2 * h_limit
+    truth = min_bisection_exact(h, exact_limit=h_limit)
     bisection_yes = truth.width <= inst.b
     measured = measure_constants(cert.embedding, h, exact_limit=h_limit)
 
     if cert.kind == "groc":
-        cut = conductance_exact(g)
+        cut = conductance_exact(g, exact_limit=g_limit)
         rewiring_no = cut.phi < cert.threshold
         values = {"graph_value": float(cut.phi), "graph_phi": cut.phi}
         chain = (
@@ -620,7 +624,7 @@ def verify_reduction(
             else _reverse_chain_groc(cert, cut.subset, cut.phi)
         )
     else:
-        mu2_leq_tau = exact_mu2_leq(g, cert.threshold, mode="signed")
+        mu2_leq_tau = exact_mu2_leq(g, cert.threshold, mode="signed", exact_limit=g_limit)
         mu2_float = float(np.linalg.eigvalsh(matrix_of(g, "propagation"))[-2])
         lambda2_g = spectral_summary(g).lambda2
         rewiring_no = not mu2_leq_tau
@@ -628,7 +632,7 @@ def verify_reduction(
         chain = (
             _forward_chain_gros(cert, truth.partition, lambda2_g, rewiring_no, measured)
             if bisection_yes
-            else _reverse_chain_gros(cert, lambda2_g, mu2_leq_tau)
+            else _reverse_chain_gros(cert, lambda2_g, mu2_leq_tau, g_limit)
         )
     idle = {"applicable": False}
     return replace(

@@ -10,7 +10,9 @@ residual bound.  scipy is imported only on the Lanczos path.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,12 +53,53 @@ def _lanczos_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+@cache
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS, or None where scipy links another BLAS."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_scipy_blas_thread():
+    """Run ARPACK's BLAS calls on the calling thread alone.
+
+    The numpy and scipy wheels each bundle an OpenBLAS, each with its own
+    worker threads, which spin for about 0.1 s after a threaded call.  A
+    threaded ARPACK call therefore leaves a thread spinning that competes with
+    the next dense numpy call for the cores, so that call's latency depends on
+    what ran before it.  ARPACK's vector work gains nothing from the second
+    thread.  Elsewhere (scipy on another BLAS) this does nothing.
+    """
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    count = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(count)
+
+
 def _eigsh_extreme(op, which: str):
     """One extreme eigenpair by ARPACK at tolerance 1e-10 within 50 n iterations."""
     import scipy.sparse.linalg as spla
 
     n = op.shape[0]
-    return spla.eigsh(op, k=1, which=which, tol=1e-10, maxiter=50 * n, v0=_lanczos_start(n))
+    with _one_scipy_blas_thread():
+        return spla.eigsh(op, k=1, which=which, tol=1e-10, maxiter=50 * n, v0=_lanczos_start(n))
 
 
 def _second_largest_iterative(mat, top_vec: np.ndarray):

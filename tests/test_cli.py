@@ -82,6 +82,45 @@ def test_analyze_disconnected(tmp_path, capsys):
     assert report["connected"] is False
 
 
+def test_analyze_text_is_the_default_format(capsys, c4_file):
+    code, out, _ = run(capsys, "analyze", c4_file)
+    assert code == 0
+    assert out == (
+        "n = 4, m = 4, connected = True\n"
+        "lambda2 = 1.000000, mu2 = 0.333333, mu_min = -0.333333\n"
+        "cheeger interval = [0.500000, 1.414214]\n"
+        "phi = 1/2 = 0.500000, witness = [0, 1]\n"
+        "cheeger verdict: pass\n"
+    )
+    assert run(capsys, "--format", "text", "analyze", c4_file)[1] == out
+
+
+def test_analyze_csv(capsys, c4_file):
+    code, out, _ = run(capsys, "--format", "csv", "analyze", c4_file)
+    assert code == 0
+    header, row, tail = out.split("\n")
+    assert (header, tail) == ("n,m,connected,lambda2,mu2,mu_min,phi,cheeger_verdict", "")
+    fields = row.split(",")
+    assert fields[:3] + fields[6:] == ["4", "4", "True", "0.5", "pass"]
+    floats = [float(x) for x in fields[3:6]]
+    assert [repr(x) for x in floats] == fields[3:6]  # floats print by repr, so they round-trip
+    assert floats == pytest.approx([1.0, 1 / 3, -1 / 3], abs=1e-12)
+
+
+def test_analyze_isolated_vertex_text_and_csv(tmp_path, capsys):
+    path = write_graph(tmp_path, "iso.txt", "3 1\n0 1\n")
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert out == (
+        "n = 3, m = 1, connected = False\n"
+        "spectral summary unavailable: vertex 2 has degree 0; spectral summary undefined\n"
+        "phi = 0/1 = 0.000000, witness = [0, 1]\n"
+    )
+    code, out, _ = run(capsys, "--format", "csv", "analyze", path)
+    assert code == 0
+    assert out == "n,m,connected,lambda2,mu2,mu_min,phi,cheeger_verdict\n3,1,False,,,,0.0,\n"
+
+
 def test_analyze_malformed_exit_2(tmp_path, capsys):
     path = write_graph(tmp_path, "bad.txt", "2 1\n0 2\n")
     code, _, err = run(capsys, "analyze", path)

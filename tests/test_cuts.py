@@ -122,6 +122,34 @@ def test_dense_sweep_never_imports_scipy():
     assert child == {"connected": True, "scipy": []}
 
 
+def _cliques_joined_by_path(k: int, length: int):
+    """Two K_k joined by a path through `length` extra vertices."""
+    clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    far = k + length
+    chain = [k - 1, *range(k, far), far]
+    return build_graph(2 * k + length, clique + [(far + u, far + v) for u, v in clique] + list(zip(chain, chain[1:])))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [barbell_graph(k) for k in (4, 5, 8, 12, 20)] + [_cliques_joined_by_path(6, length) for length in (2, 4)],
+    ids=lambda g: f"n{g.n}m{g.m}",
+)
+def test_lanczos_sweep_matches_dense_sweep(monkeypatch, g):
+    # each graph has one least cut (an odd path would tie its two middle edges); the
+    # Lanczos branch runs only above SWEEP_DENSE_LIMIT
+    dense = conductance_sweep(g)
+    monkeypatch.setattr(cuts, "SWEEP_DENSE_LIMIT", 2)
+    lanczos = conductance_sweep(g)
+    # the Fiedler vector's sign is free, so the sweep may return the other side
+    other = tuple(v for v in range(g.n) if v not in dense.subset)
+    assert lanczos.subset in (dense.subset, other)
+    assert (lanczos.phi, lanczos.boundary_size) == (dense.phi, dense.boundary_size)
+    assert {lanczos.vol_s, lanczos.vol_complement} == {dense.vol_s, dense.vol_complement}
+    if g.n <= 24:
+        assert lanczos.phi == conductance_exact(g).phi
+
+
 def test_conductance_sweep_disconnected_witness():
     assert conductance_sweep(build_graph(5, [(0, 1), (2, 3), (3, 4)])) == Cut((0, 1), 0, 2, 4, Fraction(0))
     assert conductance_sweep(build_graph(4, [(1, 2), (2, 3)])) == Cut((0,), 0, 0, 4, Fraction(0))

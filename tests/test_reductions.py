@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from rewirelab.errors import (
     CertificationFailure,
     ConstantConditionViolated,
     DegreeTooHigh,
+    ExactLimitExceeded,
     InfeasibleParameters,
 )
 
@@ -253,6 +255,24 @@ def test_verify_gros_directions():
     done2 = verify_reduction(no_inst, cert2)
     assert done2.reverse_check["applicable"]
     assert "delta" in done2.reverse_check and "sqrt_two_delta" in done2.reverse_check
+
+
+@pytest.mark.parametrize("kind, budget", [("groc", 10), ("gros", 1)])
+def test_verify_takes_every_exact_limit_from_h_limit(monkeypatch, kind, budget):
+    # C14 embeds into 28 vertices, above conductance_exact's default limit of 24; the
+    # gros budget 1 is below C14's bisection width 2, so its reverse chain scans G
+    inst = BisectionInstance(cycle_graph(14), budget)
+    consts = GROC_CONSTS if kind == "groc" else GROS_CONSTS
+    reduce = reduce_to_groc if kind == "groc" else partial(reduce_to_gros, require_scaled=False)
+    _, cert = reduce(inst, consts, seed=5)
+    monkeypatch.setattr(reductions, "measure_constants", lambda emb, h, exact_limit: consts)
+    done = verify_reduction(inst, cert, h_limit=14)
+    assert done.bisection_width == 2
+    assert done.measured == consts
+    checked = done.forward_check if kind == "groc" else done.reverse_check
+    assert checked["applicable"]
+    with pytest.raises(ExactLimitExceeded):
+        verify_reduction(inst, cert, h_limit=13)
 
 
 def test_certificate_reproducible_byte_for_byte():

@@ -106,6 +106,35 @@ def test_iterative_summary_is_reproducible():
     assert plain.lambda2 == a.lambda2
 
 
+def test_lanczos_runs_arpack_on_one_blas_thread(monkeypatch):
+    """Each ARPACK call sees one scipy BLAS thread, and the count is restored after it."""
+    import scipy.sparse.linalg as spla
+
+    class FakeBlas:
+        count = 2
+
+        def scipy_openblas_get_num_threads(self):
+            return self.count
+
+        def scipy_openblas_set_num_threads(self, k):
+            self.count = k
+
+    blas = FakeBlas()
+    seen = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        seen.append(blas.count)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: blas)
+    monkeypatch.setattr(spla, "eigsh", spy)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    s = spectral_summary(make_connected_regular(random.Random(2), 60, 3))
+    assert s.method == "iterative"
+    assert seen == [1, 1, 1] and blas.count == 2
+
+
 def test_propagate_zero_layers_identity():
     g = cycle_graph(5)
     x = np.arange(10.0).reshape(5, 2)

@@ -4,18 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sturm_reference
 from conftest import make_connected_regular, make_gnp
 from rewirelab import build_graph, complete_graph, cycle_graph, exact_mu2_leq, matrix_of
 from rewirelab.errors import ExactLimitExceeded
-from rewirelab.sturm import (
-    bareiss_determinant,
-    count_roots_above,
-    count_roots_below,
-    deflate_root,
-    poly_gcd,
-    propagation_charpoly,
-    sturm_chain,
-)
+from rewirelab.sturm import bareiss_determinant, count_roots_above, count_roots_below, propagation_charpoly
 
 
 def test_bareiss_matches_numpy():
@@ -44,15 +37,6 @@ def test_charpoly_coefficients_match_float_eigenvalues():
         assert np.allclose(got, expect, atol=1e-6 * max(1.0, det_d))
 
 
-def test_gcd_and_deflation():
-    # (x-1)^2 (x+2) = x^3 - 3x + 2
-    p = [2, -3, 0, 1]
-    g = poly_gcd(p, [(-3 + 0), 0, 3][:])  # derivative 3x^2 - 3
-    assert g in ([-1, 1], [1, -1])  # x - 1 up to sign
-    q, mult = deflate_root(p, Fraction(1))
-    assert mult == 2 and q in ([2, 1], [-2, -1])
-
-
 def test_multiplicity_aware_counting():
     # K3: eigenvalues {1, 0, 0}
     q = propagation_charpoly(complete_graph(3))
@@ -64,10 +48,35 @@ def test_multiplicity_aware_counting():
 
 def test_sturm_counts_on_c4():
     q = propagation_charpoly(cycle_graph(4))  # eigenvalues 1, 1/3, 1/3, -1/3
-    chain = sturm_chain(q)
-    assert len(chain) >= 2
     assert count_roots_above(q, Fraction(1, 3)) == 1
     assert count_roots_above(q, Fraction(1, 4)) == 3
+
+
+def _oracle_corpus():
+    """G(n, p) for n = 1..11, the special spectra below, and a 3-regular graph."""
+    rng = random.Random(25)
+    graphs = [make_gnp(rng, n, rng.random()) for n in range(1, 12)]
+    graphs += [complete_graph(5), build_graph(5, [(0, 1), (1, 2), (3, 4)]), cycle_graph(4), _k33(), build_graph(4, [])]
+    return graphs + [make_connected_regular(random.Random(10), 10, 3)]
+
+
+# every threshold k/den in [-1, 1] with den <= 12: many sit exactly on eigenvalues
+_THETAS = sorted({Fraction(k, den) for den in range(1, 13) for k in range(-den, den + 1)})
+
+
+def test_charpoly_matches_interpolation_reference():
+    graphs = _oracle_corpus() + [make_connected_regular(random.Random(n), n, 3) for n in (16, 24, 64)]
+    for g in graphs:
+        assert propagation_charpoly(g) == sturm_reference.propagation_charpoly(g), (g.n, g.edges)
+
+
+def test_root_counts_match_sturm_reference():
+    for g in _oracle_corpus():
+        q = propagation_charpoly(g)
+        for theta in _THETAS:
+            got = count_roots_above(q, theta), count_roots_below(q, theta)
+            expect = sturm_reference.count_roots_above(q, theta), sturm_reference.count_roots_below(q, theta)
+            assert got == expect, (g.n, g.edges, theta)
 
 
 def test_exact_decision_spec_examples():
