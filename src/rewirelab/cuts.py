@@ -86,14 +86,19 @@ def _cut_of(g: Graph, side) -> Cut:
     return Cut(tuple(sorted(s)), boundary, vol_s, vol_c, Fraction(boundary, min_vol) if min_vol else Fraction(0))
 
 
-def conductance_of(g: Graph, s) -> Cut:
-    """Exact conductance of the cut (S, V \\ S)."""
+def _proper_side(g: Graph, s) -> set:
+    """s as a set, checked to be a nonempty proper subset of g's vertices."""
     s = set(s)
     if not s or len(s) >= g.n:
         raise EmptySide(f"cut side must be a nonempty proper subset, got {len(s)} of {g.n} vertices")
     if any(v < 0 or v >= g.n for v in s):
         raise EmptySide(f"subset contains out-of-range vertices: {sorted(s)}")
-    cut = _cut_of(g, s)
+    return s
+
+
+def conductance_of(g: Graph, s) -> Cut:
+    """Exact conductance of the cut (S, V \\ S)."""
+    cut = _cut_of(g, _proper_side(g, s))
     if min(cut.vol_s, cut.vol_complement) == 0:
         raise ZeroVolumeSide(f"side with volume 0 (vol_s={cut.vol_s}, vol_complement={cut.vol_complement})")
     return cut
@@ -442,9 +447,7 @@ def balance_cut(h: Graph, s) -> tuple[tuple[int, ...], Fraction]:
     n = h.n
     if n % 2 != 0:
         raise OddVertexCount(f"balancing needs an even vertex count, got {n}")
-    side = set(s)
-    if not side or len(side) >= n:
-        raise EmptySide("cut side must be a nonempty proper subset")
+    side = _proper_side(h, s)
     crossing_before, _, _ = _boundary_and_volumes(h, side)
     crossing = crossing_before
     half = n // 2

@@ -6,9 +6,9 @@ metric treats each vertex pair as a binary toggle): every set of size <= K in
 the base graph's cut table as integer changes to each side's boundary and volume,
 and on large blocks scans in full only the sets whose upper bound lets them be the
 first witness or the maximum; budget 0 is one `conductance_exact` call;
-the spectral problem scores a block's float mu2 with one stacked `eigvalsh` and
-decides each candidate up to the first witness exactly: floats choose the proof
-(`sturm.guided_mu2_leq`), and integers decide it.
+the spectral problem scores a block's float mu2 with one stacked `eigvalsh`, and up
+to the first witness one int64 kernel proves "no" for many rows at once
+(`sturm._proves_above`) and `sturm.guided_mu2_leq` decides the rest exactly.
 The heuristics are the practical alternative: greedy single-toggle ascent (scored
 the same batched way for exact conductance), curvature/resistance rewiring, and
 personalized PageRank densification.
@@ -42,7 +42,7 @@ from .errors import (
     SingularSystem,
 )
 from .graph import DENSE_LIMIT, EditSet, Graph, canonical_pair, edit_set_between, matrix_of
-from .sturm import EXACT_EIGEN_LIMIT, guided_mu2_leq
+from .sturm import EXACT_EIGEN_LIMIT, _proves_above, guided_mu2_leq
 
 #: Cap on the number of candidate edit sets a decision solver will enumerate.
 MAX_EDIT_CANDIDATES = 2_000_000
@@ -207,37 +207,39 @@ def decide_groc(
     return _search(g, pairs, inst.budget_k, max_candidates, _BLOCK_ENTRIES, score, max)
 
 
-def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: np.ndarray) -> np.ndarray:
-    """The dense propagation matrix of adj toggled by each row of `toggles` over the pairs
-    (u, v), built as `matrix_of` builds it: s = 1/sqrt(d' + 1), A' s s^T, diagonal s^2."""
-    stack = np.repeat(adj[None], len(toggles), axis=0)
+def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: np.ndarray):
+    """adj toggled by each row of `toggles` over the pairs (u, v): the dense propagation
+    matrices, built as `matrix_of` builds them (s = 1/sqrt(d' + 1), A' s s^T, diagonal
+    s^2), and the 0/1 adjacency matrices A' in adj's dtype."""
+    flips = np.repeat(adj[None], len(toggles), axis=0)
     for col in toggles.T:
         b = np.flatnonzero(col < len(u))  # the pad toggles nothing
         i, j = u[col[b]], v[col[b]]
-        stack[b, i, j] = stack[b, j, i] = 1.0 - stack[b, i, j]
-    s = 1.0 / np.sqrt(stack.sum(axis=2) + 1.0)
+        flips[b, i, j] = flips[b, j, i] = 1 - flips[b, i, j]
+    stack = flips.astype(np.float64)
+    s = 1.0 / np.sqrt(np.einsum("rij->ri", flips, dtype=np.float64) + 1.0)  # einsum: twice as fast as sum here
     stack *= s[:, :, None]
     stack *= s[:, None, :]
     stack.reshape(len(stack), -1)[:, :: len(adj) + 1] = s * s
-    return stack
+    return stack, flips
 
 
-def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> list:
-    """Per propagation matrix and its float signed mu2, the integer vector
-    `guided_mu2_leq` takes when mu2 is above tau: 2^40 y / max|y| rounded, where y is
-    (D+I)^(-1/2) times the eigenvector of mu2.  The eigenvector is one step of inverse
-    iteration from a fixed generic vector, shifted 2^-40 off mu2: one LU solve per
-    matrix, on one BLAS thread, where `eigh` costs 4-8 times as much at n = 32-48 and
-    keeps a second OpenBLAS thread spinning.
+def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> np.ndarray | None:
+    """Per propagation matrix and its float signed mu2, the int64 vector
+    `sturm._proves_above` takes: 2^20 y / max|y| rounded, where y is (D+I)^(-1/2) times
+    the eigenvector of mu2; None when the solve is singular.  The eigenvector is one step
+    of inverse iteration from a fixed generic vector, shifted 2^-40 off mu2: one LU
+    solve per matrix, on one BLAS thread, where `eigh` costs 4-8 times as much at
+    n = 32-48 and keeps a second OpenBLAS thread spinning.
     """
     n = mats.shape[-1]
     shifted = mats - (mu2 + 2.0**-40)[:, None, None] * np.eye(n)
     try:
         y = np.linalg.solve(shifted, np.cos(np.arange(n)))
     except np.linalg.LinAlgError:  # a shift on an eigenvalue after all: exact_mu2_leq decides
-        return [None] * len(mats)
+        return None
     y *= np.sqrt(np.diagonal(mats, axis1=1, axis2=2))
-    return np.rint(y * (2.0**40 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64).tolist()
+    return np.rint(y * (2.0**20 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64)
 
 
 def decide_gros(
@@ -249,11 +251,12 @@ def decide_gros(
 
     Each block's float mu2 comes from one stacked `eigvalsh` of at most _BLOCK_ENTRIES
     float64 entries (one matrix at least).  value_achieved is the least of them over
-    the whole search, informational only.  Up to the first witness, each block then
-    makes one stacked shifted solve for the eigenvectors of every row whose float
-    signed mu2 is above tau, and tests its candidates in order; the test is exact: the
-    float mu2 and the eigenvector only choose which integer proof `guided_mu2_leq`
-    tries, with the full inertia count of `exact_mu2_leq` at tau as its fallback.
+    the whole search, informational only.  Up to the first witness, a block is decided
+    in spans, each ending at a row whose float mu2 is at most tau.  In a span, one
+    stacked shifted solve gives eigenvectors for the rows whose float signed mu2 is
+    above tau, `sturm._proves_above` proves "no" for them at once, and
+    `guided_mu2_leq` decides the rows left open, in order.  The floats only choose
+    which integer proof to try, with `exact_mu2_leq` at tau as the fallback.
     """
     g = inst.graph
     if g.n > exact_limit:
@@ -261,25 +264,29 @@ def decide_gros(
     n, tau, mode = g.n, inst.tau, inst.mode
     u, v = np.triu_indices(n, 1)
     pairs = list(zip(u.tolist(), v.tolist()))
-    adj = matrix_of(g, "adjacency", dense_limit=n)  # dense at every n: eigvalsh takes no CSR
+    adj = matrix_of(g, "adjacency", dense_limit=n).astype(np.int8)  # dense at every n: eigvalsh takes no CSR
 
     def score(toggles, find):
-        # mu2 is undefined on one vertex; it reads 1
-        stack = _propagation_stack(adj, u, v, toggles) if n > 1 else None
-        eigs = np.linalg.eigvalsh(stack) if n > 1 else np.ones((len(toggles), 2))
+        if n == 1:  # mu2 is undefined on one vertex: it reads 1, and mu2 <= tau holds vacuously
+            return 1.0, 0
+        stack, flips = _propagation_stack(adj, u, v, toggles)
+        eigs = np.linalg.eigvalsh(stack)
         mu2 = eigs[:, -2] if mode == "signed" else np.sort(np.abs(eigs))[:, -2]
         value = float(mu2[mu2.argmin()])  # argmin: the first of equal minima, as -0.0 and 0.0
         if not find:
             return value, None
-        # hints for the rows whose float signed mu2 is above tau; an absolute mu2 above tau
-        # only through |mu_min| gets none, and is decided at tau
-        signed = eigs[:, -2]
-        above = np.flatnonzero(signed > float(tau)) if n > 1 else ()  # float picks, guided decides
-        hints = dict(zip(above.tolist(), _eigenvector_hints(stack[above], signed[above]))) if len(above) else {}
-        for i, (row, estimate) in enumerate(zip(toggles.tolist(), mu2.tolist())):
-            candidate = _toggled(g, (pairs[t] for t in row if t < len(pairs)))
-            if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimate), hints.get(i)):
-                return value, i
+        # an absolute mu2 above tau only through |mu_min| gets no hint, and is decided at tau
+        signed, estimates, left, start = eigs[:, -2], mu2.tolist(), np.ones(len(toggles), bool), 0
+        for end in [*np.flatnonzero(mu2 <= float(tau)).tolist(), len(toggles) - 1]:
+            above = start + np.flatnonzero(signed[start : end + 1] > float(tau))
+            x = _eigenvector_hints(stack[above], signed[above]) if len(above) else None
+            if x is not None:  # float picks, integers prove
+                left[above[_proves_above(flips[above], x, tau)]] = False
+            for i in (start + np.flatnonzero(left[start : end + 1])).tolist():
+                candidate = _toggled(g, (pairs[t] for t in toggles[i].tolist() if t < len(pairs)))
+                if guided_mu2_leq(candidate, tau, mode, exact_limit, Fraction(estimates[i])):
+                    return value, i
+            start = end + 1
         return value, None
 
     rows = max(1, _BLOCK_ENTRIES // max(1, n * n))  # a stack of n x n float64 matrices
@@ -500,7 +507,7 @@ def ppr_rewire(
     matrix T, keeps each node's top `per_node_cap` off-diagonal scores above
     `epsilon`, symmetrizes the kept set and emits additions only.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # nan too
         raise ValueError(f"sparsification threshold must be >= 0, got {epsilon}")
     if per_node_cap < 0:
         raise ValueError(f"per-node cap must be >= 0, got {per_node_cap}")

@@ -8,15 +8,14 @@ positive eigenvalues is the number of eigenvalues of P above tau.  One
 fraction-free symmetric elimination (Bareiss) counts them: `exact_mu2_leq`
 decides mu2 <= tau that way, in Python integers only.
 
-`guided_mu2_leq` gives the same answer, often by a cheaper integer proof; a
-caller's float spectrum, passed in as a rational estimate and an integer vector,
-only chooses which proof to try.  "No" is a two-vector Courant-Fischer check in
-O(n + m): the all-ones vector is the exact top eigenvector of the pencil, since
-(A+I)1 = (D+I)1, and M positive definite on span{1, x} has two positive
-eigenvalues; x is the signed mu2's eigenvector, in both modes, since the absolute
-mu2 is never less.  "Yes" is `exact_mu2_leq` at the simplest rational between the
-estimate and tau, which has smaller entries than at tau; mu2 <= tau' <= tau.
-Anything else falls back to `exact_mu2_leq` at tau.
+`_proves_above` proves mu2 > tau for a block of candidates at once by a two-vector
+Courant-Fischer check: the all-ones vector is the exact top eigenvector of the
+pencil, since (A+I)1 = (D+I)1, so M positive definite on span{1, x} has two positive
+eigenvalues; x is an integer guess of the signed mu2's eigenvector, valid in both
+modes, since the absolute mu2 is never less.  `guided_mu2_leq` decides one
+candidate: "yes" is `exact_mu2_leq` at the simplest rational between a float
+estimate and tau, which has smaller entries; mu2 <= tau' <= tau.  Anything else
+falls back to `exact_mu2_leq` at tau.
 
 The characteristic-polynomial path is kept as an independent oracle:
 det(x(D+I) - (A+I)) is an integer polynomial whose roots, with multiplicity,
@@ -26,13 +25,15 @@ large enough integer point carries every coefficient as a balanced digit
 of signs is exact with multiplicity, so `count_roots_above` / `count_roots_below`
 count sign changes of the coefficients after a shift to the threshold.
 
-Everything here is big-integer / Fraction arithmetic; no floating point.
+Everything here is Python-int, bounded int64 or Fraction arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
+
+import numpy as np
 
 from .errors import ExactLimitExceeded
 from .graph import Graph
@@ -202,13 +203,6 @@ def _positive_inertia(upper: list[list[int]], stop: int) -> int:
     return count
 
 
-def _check_decision(g: Graph, mode: str, exact_limit: int) -> None:
-    if mode not in ("signed", "absolute"):
-        raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
-    if g.n > exact_limit:
-        raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
-
-
 def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_EIGEN_LIMIT) -> bool:
     """Decide mu2(P) <= tau exactly, never touching floating point.
 
@@ -218,7 +212,10 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
     eigenvalues above tau are the positive inertia of q(A+I) - p(D+I) and
     those below -tau the positive inertia of -q(A+I) - p(D+I).
     """
-    _check_decision(g, mode, exact_limit)
+    if mode not in ("signed", "absolute"):
+        raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
+    if g.n > exact_limit:
+        raise ExactLimitExceeded(f"exact eigenvalue decision limited to n <= {exact_limit}, got {g.n}")
     tau = Fraction(tau)
     if g.n == 1:
         return True
@@ -234,26 +231,33 @@ def exact_mu2_leq(g: Graph, tau, mode: str = "signed", exact_limit: int = EXACT_
 # -- hinted proofs -----------------------------------------------------------------
 
 
-def _pencil_form(g: Graph, a: int, b: int, x: list[int]) -> int:
-    """x^T (a(A+I) - b(D+I)) x."""
-    diag = sum((a - b * (d + 1)) * xi * xi for d, xi in zip(g.degrees, x))
-    return diag + 2 * a * sum(x[i] * x[j] for i, j in g.edges)
+#: The int64 sums of `_proves_above` are exact below this bound.
+_INT64_RANGE = 1 << 63
 
 
-def _certifies_above(g: Graph, tau: Fraction, x: list[int]) -> bool:
-    """An integer proof that mu2 > tau, from the all-ones vector and x (Courant-Fischer).
+def _proves_above(adj: np.ndarray, x: np.ndarray, tau: Fraction) -> np.ndarray:
+    """Per row, an integer proof that mu2 > tau, from the all-ones vector and x (Courant-Fischer).
 
-    With M = q(A+I) - p(D+I), M1 = (q - p)(D+I)1, so 1^T M 1 = (q - p)(2m + n) > 0
-    when tau < 1.  Then M is positive definite on span{1, x}, and has two positive
-    eigenvalues, when (1^T M 1)(x^T M x) > (1^T M x)^2; dividing by q - p:
-    (2m + n) x^T M x > (q - p)(sum (d_i + 1) x_i)^2.  The absolute mu2 is at least the
-    signed one, so the proof holds in both modes.
+    `adj` stacks 0/1 adjacency matrices A' on n vertices, `x` int64 guesses of their
+    signed mu2's eigenvectors.  With M = q(A'+I) - p(D'+I), M1 = (q - p)(D'+I)1, so
+    1^T M 1 = (q - p)(2m' + n) > 0 when tau < 1.  Then M is positive definite on
+    span{1, x}, and has two positive eigenvalues, when (1^T M 1)(x^T M x) > (1^T M x)^2;
+    dividing by q - p: (2m' + n)(q x^T(A'+I)x - p sum (d'_i + 1) x_i^2) >
+    (q - p)(sum (d'_i + 1) x_i)^2.  The absolute mu2 is at least the signed one, so the
+    proof holds in both modes.  The block's sums are int64, from (A'+I)x and d' by
+    `einsum`; with |x_i| <= b none exceeds n^2 b^2, so they are exact while
+    n^2 b^2 < 2^63 (for 2^20 hints, n <= 2896), and a row past that bound is left
+    unproved, never wrapped.  The inequality is finished in Python ints.
     """
     p, q = tau.numerator, tau.denominator
-    if q <= p or len(x) != g.n:
-        return False
-    weighted = sum((d + 1) * xi for d, xi in zip(g.degrees, x))
-    return (2 * g.m + g.n) * _pencil_form(g, q, p, x) > (q - p) * weighted * weighted
+    bound = isqrt((_INT64_RANGE - 1) // x.shape[1] ** 2)
+    fits = (x <= bound).all(axis=1) & (x >= -bound).all(axis=1) & (q > p)
+    x = np.where(fits[:, None], x, 0)
+    ax = np.einsum("rij,rj->ri", adj, x) + x  # (A'+I)x
+    d1 = np.einsum("rij->ri", adj, dtype=np.int64) + 1
+    sums = ((x * ax).sum(axis=1), (d1 * x * x).sum(axis=1), ax.sum(axis=1), d1.sum(axis=1))
+    proofs = [vol * (q * form - p * diag) > (q - p) * w * w for form, diag, w, vol in zip(*(a.tolist() for a in sums))]
+    return fits & np.array(proofs, bool)
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -268,32 +272,18 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(h1 * t + h0, k1 * t + k0)
 
 
-def guided_mu2_leq(
-    g: Graph,
-    tau,
-    mode: str,
-    exact_limit: int,
-    estimate: Fraction,
-    vector: list[int] | None,
-) -> bool:
-    """`exact_mu2_leq(g, tau, mode)`, reached by a cheaper exact proof where the hints allow.
+def guided_mu2_leq(g: Graph, tau, mode: str, exact_limit: int, estimate: Fraction) -> bool:
+    """`exact_mu2_leq(g, tau, mode)`, reached by a cheaper exact proof where the estimate allows.
 
-    The hints choose which proof to try; the answer rests on integers alone, so a
-    wrong hint costs time, never the answer.  `estimate` is a rational guess of mu2.
-    Above tau, `vector` is an integer guess of the eigenvector of the signed mu2, and
-    `_certifies_above` proves "no" in O(n + m) in either mode.  Below tau, "yes" at the
-    simplest rational tau' in [(estimate + tau) / 2, tau] is "yes" at tau, and with a
-    smaller denominator than tau's its elimination is cheaper.  Anything else, such
-    as an absolute mu2 above tau only through |mu_min|, is decided at tau.
+    `estimate` is a rational guess of mu2; it chooses which proof to try, and the answer
+    rests on integers alone, so a wrong estimate costs time, never the answer.  Below
+    tau, "yes" at the simplest rational tau' in [(estimate + tau) / 2, tau] is "yes" at
+    tau, and with a smaller denominator than tau's its elimination is cheaper.
+    Anything else is decided at tau; "no" above tau is `_proves_above`'s, for a block.
     """
-    _check_decision(g, mode, exact_limit)
     tau = Fraction(tau)
-    if g.n >= 2:
-        if estimate > tau and vector is not None:
-            if _certifies_above(g, tau, vector):
-                return False
-        elif estimate < tau:
-            easier = _simplest_between((estimate + tau) / 2, tau)
-            if easier.denominator < tau.denominator and exact_mu2_leq(g, easier, mode, exact_limit):
-                return True
+    if estimate < tau:
+        easier = _simplest_between((estimate + tau) / 2, tau)
+        if easier.denominator < tau.denominator and exact_mu2_leq(g, easier, mode, exact_limit):
+            return True
     return exact_mu2_leq(g, tau, mode, exact_limit)

@@ -221,6 +221,12 @@ def test_rewire_negative_budget_exit_4(capsys, c4_file, heuristic):
     assert (code, out, err) == (4, "", "error: budget must be >= 0, got -1\n")
 
 
+def test_rewire_ppr_nan_epsilon_exit_4(capsys, c4_file):
+    # nan passed the epsilon < 0 check, and every score was dropped with exit 0
+    code, out, err = run(capsys, "rewire", "ppr", c4_file, "1", "--epsilon", "nan")
+    assert (code, out) == (4, "") and "sparsification threshold must be >= 0, got nan" in err
+
+
 def test_rewire_greedy_isolated_vertex_exit_4(tmp_path, capsys):
     iso = write_graph(tmp_path, "iso.txt", "4 2\n0 1\n1 2\n")
     code, out, err = run(capsys, "rewire", "greedy", iso, "1")

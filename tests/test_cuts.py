@@ -250,3 +250,10 @@ def test_balance_cut_rejects_odd_and_empty():
         balance_cut(cycle_graph(5), {0})
     with pytest.raises(EmptySide):
         balance_cut(cycle_graph(4), set())
+
+
+@pytest.mark.parametrize("side", [[-1], [0, 99]])
+def test_balance_cut_rejects_out_of_range_vertices(side):
+    # [-1] came back as a "balanced side" holding vertex -1, and [0, 99] raised IndexError
+    with pytest.raises(EmptySide, match="out-of-range vertices"):
+        balance_cut(cycle_graph(4), side)

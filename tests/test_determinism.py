@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rewirelab import GrocInstance, GrosInstance, decide_groc, decide_gros, parse_graph
+from rewirelab import GrocInstance, GrosInstance, decide_groc, decide_gros, parse_graph, sturm
 from rewirelab.cli import EXIT_NO, EXIT_YES, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,8 +62,8 @@ def _grid(x: float) -> Fraction:
 @pytest.fixture(scope="module")
 def gros_cases(tmp_path_factory):
     """(graph, budget, tau, mode, exit code) at thresholds on the 1e-7 grid next to the
-    least float mu2: n = 32 at K = 0 just below it ("no") and just above it ("yes"), and
-    n = 8 at K = 1 just above it."""
+    least float mu2: n = 32 at K = 0 and n = 8 at K = 2 just below it ("no") and just
+    above it ("yes"), and n = 8 at K = 1 just above it."""
     tmp = tmp_path_factory.mktemp("gros")
     g32 = _gen(tmp / "gros-32.txt", "random_regular", 32, 3, "--seed", 7)
     g8 = _gen(tmp / "gros-8.txt", "gnp", 8, 0.5, "--seed", 7)
@@ -72,6 +72,7 @@ def gros_cases(tmp_path_factory):
     late = _gen(tmp / "gros-8-late.txt", "gnp", 8, 0.5, "--seed", 4)
     mu32 = decide_gros(GrosInstance(_graph(g32), 0, 1)).value_achieved
     mu8 = decide_gros(GrosInstance(_graph(g8), 1, 1)).value_achieved
+    mu8_k2 = decide_gros(GrosInstance(_graph(g8), 2, 1)).value_achieved
     mu_late = decide_gros(GrosInstance(_graph(late), 1, 1)).value_achieved
     # K3,3 in absolute mode at tau = 1/3: mu2 = 1/4 but mu_min = -1/2, so no proof applies
     # and exact_mu2_leq decides at tau ("no")
@@ -81,6 +82,8 @@ def gros_cases(tmp_path_factory):
         "n32-below": (g32, 0, _grid(mu32 - 1e-6), "signed", EXIT_NO),
         "n32-above": (g32, 0, _grid(mu32 + 2e-6), "signed", EXIT_YES),
         "n8-k1-above": (g8, 1, _grid(mu8 + 2e-6), "signed", EXIT_YES),
+        "n8-k2-below": (g8, 2, _grid(mu8_k2 - 1e-6), "signed", EXIT_NO),
+        "n8-k2-above": (g8, 2, _grid(mu8_k2 + 2e-6), "signed", EXIT_YES),
         "n8-k1-late-witness": (late, 1, _grid(mu_late + 2e-6), "signed", EXIT_YES),
         "k33-absolute": (k33, 0, Fraction(1, 3), "absolute", EXIT_NO),
     }
@@ -95,7 +98,18 @@ def test_late_witness_lies_past_the_first_hint_chunk(gros_cases):
     assert 1 + pairs.index(pair) == 22  # row 0 is the empty set
 
 
-@pytest.mark.parametrize("case", ["n32-below", "n32-above", "n8-k1-above", "n8-k1-late-witness", "k33-absolute"])
+def test_kernel_proves_every_row_of_the_k2_no_case(gros_cases, monkeypatch):
+    # the "no" case just below the least float mu2 rests on the block kernel alone
+    graph, budget, tau, mode, _ = gros_cases["n8-k2-below"]
+    calls = []
+    monkeypatch.setattr(sturm, "exact_mu2_leq", lambda *args: calls.append(args))
+    assert decide_gros(GrosInstance(_graph(graph), budget, tau, mode)).answer == "no"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "case", ["n32-below", "n32-above", "n8-k1-above", "n8-k1-late-witness", "n8-k2-below", "n8-k2-above", "k33-absolute"]
+)
 def test_decide_gros_identical_across_blas_threads_and_hash_seeds(gros_cases, case):
     graph, budget, tau, mode, code = gros_cases[case]
     args = _cli("decide", "gros", graph, budget, tau, "--mode", mode)

@@ -114,12 +114,15 @@ def test_propagation_stack_matches_matrix_of_bytes():
         sets = rng.sample(sets, min(len(sets), 40))
         width = max(map(len, sets))
         toggles = np.array([s + (len(pairs),) * (width - len(s)) for s in sets], np.int64)
-        stack = rewiring._propagation_stack(matrix_of(g, "adjacency"), u, v, toggles)
+        # an int8 adjacency, as decide_gros passes
+        stack, flips = rewiring._propagation_stack(matrix_of(g, "adjacency").astype(np.int8), u, v, toggles)
         eigs = np.linalg.eigvalsh(stack)
-        for s, mat, row in zip(sets, stack, eigs):
-            want = matrix_of(Graph(n=n, edges=g.edges ^ {pairs[i] for i in s}), "propagation")
+        for s, mat, row, adj in zip(sets, stack, eigs, flips):
+            toggled = Graph(n=n, edges=g.edges ^ {pairs[i] for i in s})
+            want = matrix_of(toggled, "propagation")
             assert mat.tobytes() == want.tobytes(), (g, s)
             assert row.tobytes() == np.linalg.eigvalsh(want).tobytes(), (g, s)
+            assert adj.dtype == np.int8 and (adj == matrix_of(toggled, "adjacency")).all(), (g, s)
 
 
 def test_decide_gros_above_dense_limit(tmp_path, capsys):

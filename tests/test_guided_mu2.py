@@ -1,6 +1,6 @@
-"""The hinted decision against the plain one: `guided_mu2_leq` with the float hints
-that `decide_gros` gives it must answer as `exact_mu2_leq` does, and a wrong hint
-must cost time only, never the answer."""
+"""The exact proofs `decide_gros` composes, against the plain inertia count: the block
+kernel `_proves_above` proves "no" only where mu2 > tau, `guided_mu2_leq` answers as
+`exact_mu2_leq` does, and a wrong hint costs time only, never the answer."""
 
 import random
 from fractions import Fraction
@@ -23,7 +23,7 @@ from rewirelab import (
     sturm,
 )
 from rewirelab.rewiring import _eigenvector_hints
-from rewirelab.sturm import _certifies_above, _simplest_between, guided_mu2_leq
+from rewirelab.sturm import _proves_above, _simplest_between, guided_mu2_leq
 
 MODES = ("signed", "absolute")
 
@@ -44,13 +44,21 @@ def _fixed_graphs():
 
 
 def _hints(g, mode):
-    """The estimate, and the vector `decide_gros` hands over for g when its signed mu2 is above tau."""
+    """The estimate, and the int64 vector `decide_gros` hands the kernel for g when its
+    signed mu2 is above tau (None on one vertex or a singular solve)."""
     if g.n < 2:
         return Fraction(1), None
     mat = matrix_of(g, "propagation")
     eigs = np.linalg.eigvalsh(mat)
     mu2 = eigs[-2] if mode == "signed" else np.sort(np.abs(eigs))[-2]
-    return Fraction(float(mu2)), _eigenvector_hints(mat[None], eigs[None, -2])[0]
+    x = _eigenvector_hints(mat[None], eigs[None, -2])
+    return Fraction(float(mu2)), None if x is None else x[0].tolist()
+
+
+def _proves(g, tau, x) -> bool:
+    """`_proves_above` on a block of g alone."""
+    adj = matrix_of(g, "adjacency", dense_limit=g.n).astype(np.int8)
+    return bool(_proves_above(adj[None], np.array([x], np.int64), Fraction(tau))[0])
 
 
 def _thresholds(rng, estimate):
@@ -63,6 +71,8 @@ def _thresholds(rng, estimate):
 
 
 def test_guided_matches_exact_on_a_seeded_corpus(monkeypatch):
+    # composed as decide_gros composes them: the kernel where the float mu2 is above tau,
+    # then guided_mu2_leq for what it leaves open
     calls = []  # the thresholds of the exact_mu2_leq calls made inside guided_mu2_leq
 
     def counted(g, tau, *args):
@@ -76,18 +86,19 @@ def test_guided_matches_exact_on_a_seeded_corpus(monkeypatch):
     graphs = _fixed_graphs()
     while decisions < 100_000:
         for g in graphs:
+            adj = matrix_of(g, "adjacency", dense_limit=g.n).astype(np.int8)[None]
             for mode in MODES:
                 estimate, hint = _hints(g, mode)
+                x = None if hint is None else np.array([hint], np.int64)
                 for tau in _thresholds(rng, estimate):
-                    calls.clear()
-                    got = guided_mu2_leq(g, tau, mode, 64, estimate, hint if estimate > tau else None)
-                    assert got == exact_mu2_leq(g, tau, mode), (g, tau, mode)
-                    if not calls:
+                    want = exact_mu2_leq(g, tau, mode)
+                    if estimate > tau and x is not None and _proves_above(adj, x, tau)[0]:
+                        assert not want, (g, tau, mode)
                         paths["no proof"] += 1
-                    elif calls[-1] != tau:
-                        paths["yes proof"] += 1
                     else:
-                        paths["exact at tau"] += 1
+                        calls.clear()
+                        assert guided_mu2_leq(g, tau, mode, 64, estimate) == want, (g, tau, mode)
+                        paths["exact at tau" if calls[-1] == tau else "yes proof"] += 1
                     decisions += 1
         n = rng.randrange(9, 17) if rng.random() < 0.1 else rng.randrange(2, 9)
         graphs = [make_gnp(rng, n, rng.choice((0.0, 0.15, 0.3, 0.5, 0.8, 1.0, rng.random())))]
@@ -118,8 +129,9 @@ def _hinted_decisions(draw):
     wrong = [tau, tau - Fraction(1, 7), tau + Fraction(1, 7), Fraction(0), Fraction(1)]
     estimate = draw(st.sampled_from([estimate] + wrong))
     vector = draw(
-        st.sampled_from([None, [0] * n, [1] * n, true_vector])
-        | st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n)
+        st.sampled_from([[0] * n, [1] * n, true_vector or [0] * n])
+        | st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n)
+        | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)  # past the int64 bound
     )
     return g, tau, mode, estimate, vector
 
@@ -127,19 +139,35 @@ def _hinted_decisions(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=_hinted_decisions())
 def test_a_hint_never_decides(case):
-    # wrong-side estimates, zero, all-ones and random vectors
+    # a zero, all-ones, random or overflowing vector never proves "no" where mu2 <= tau,
+    # and a wrong-side estimate never changes the answer of guided_mu2_leq
     g, tau, mode, estimate, vector = case
-    assert guided_mu2_leq(g, tau, mode, 64, estimate, vector) == exact_mu2_leq(g, tau, mode)
+    want = exact_mu2_leq(g, tau, mode)
+    assert not (want and _proves(g, tau, vector))
+    assert guided_mu2_leq(g, tau, mode, 64, estimate) == want
 
 
 def test_no_proof_holds_only_above_tau():
     # the two-vector proof of mu2 > tau is a proof: it never passes at or above mu2
     c4 = cycle_graph(4)  # propagation eigenvalues 1, 1/3, 1/3, -1/3
     x = [1, 0, -1, 0]  # an eigenvector of 1/3; D + I is 3I, so no rescaling
-    assert _certifies_above(c4, Fraction(33, 100), x)
-    assert not _certifies_above(c4, Fraction(1, 3), x)
-    assert not _certifies_above(c4, Fraction(1, 3), [1, 1, 1, 1])
-    assert not _certifies_above(c4, Fraction(1), x)  # tau = 1: 1^T M 1 = 0
+    assert _proves(c4, Fraction(33, 100), x)
+    assert not _proves(c4, Fraction(1, 3), x)
+    assert not _proves(c4, Fraction(1, 3), [1, 1, 1, 1])
+    assert not _proves(c4, Fraction(1), x)  # tau = 1: 1^T M 1 = 0
+
+
+def test_rows_past_the_int64_bound_are_left_unproved(monkeypatch):
+    # the sums are exact while n^2 max|x|^2 < _INT64_RANGE; a row past it goes unproved
+    c4, tau = cycle_graph(4), Fraction(33, 100)
+    monkeypatch.setattr(sturm, "_INT64_RANGE", 16 * 1000**2 + 1)
+    assert _proves(c4, tau, [1000, 0, -1000, 0])
+    assert not _proves(c4, tau, [1001, 0, -1001, 0])
+    monkeypatch.undo()
+    assert _proves(c4, tau, [2**20, 0, -(2**20), 0])
+    adj = matrix_of(c4, "adjacency").astype(np.int8)
+    x = np.array([[1, 0, -1, 0], [-(2**63), 0, 2**62, 0], [2**62, 0, -(2**62), 0]], np.int64)
+    assert _proves_above(np.stack([adj] * 3), x, tau).tolist() == [True, False, False]
 
 
 def test_absolute_mu2_above_tau_through_mu_min_alone_is_decided_at_tau(monkeypatch):
@@ -161,5 +189,6 @@ def test_absolute_mu2_above_tau_through_mu_min_alone_is_decided_at_tau(monkeypat
     assert calls == [(tau, "absolute", 64)]
     calls.clear()
     estimate, vector = _hints(k33, "absolute")
-    assert estimate > tau and not guided_mu2_leq(k33, tau, "absolute", 64, estimate, vector)
+    assert not _proves(k33, tau, vector)  # the signed mu2 is below tau
+    assert estimate > tau and not guided_mu2_leq(k33, tau, "absolute", 64, estimate)
     assert calls == [(tau, "absolute", 64)]
