@@ -115,6 +115,37 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
+    @cached_property
+    def bridges(self) -> frozenset[Pair]:
+        """The edges whose removal splits their component: one iterative Tarjan
+        low-link pass, an edge (p, v) of the DFS tree being a bridge when nothing
+        below v reaches above it."""
+        order, low, found = [0] * self.n, [0] * self.n, []  # order: DFS discovery index + 1
+        count = 0
+        for root in range(self.n):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            stack = [(root, -1, iter(self.neighbors[root]))]
+            while stack:
+                v, parent, rest = stack[-1]
+                for w in rest:
+                    if not order[w]:
+                        count += 1
+                        order[w] = low[w] = count
+                        stack.append((w, v, iter(self.neighbors[w])))
+                        break
+                    if w != parent:  # a simple graph has one edge to the parent
+                        low[v] = min(low[v], order[w])
+                else:
+                    stack.pop()
+                    if parent >= 0:
+                        low[parent] = min(low[parent], low[v])
+                        if low[v] > order[parent]:
+                            found.append(canonical_pair(parent, v))
+        return frozenset(found)
+
 
 @dataclass(frozen=True)
 class EditSet:

@@ -9,9 +9,13 @@ first witness or the maximum; budget 0 is one `conductance_exact` call;
 the spectral problem scores a block's float mu2 with one stacked `eigvalsh`, and up
 to the first witness one int64 kernel proves "no" for many rows at once
 (`sturm._proves_above`) and `sturm.guided_mu2_leq` decides the rest exactly.
-The heuristics are the practical alternative: greedy single-toggle ascent (scored
-the same batched way for exact conductance), curvature/resistance rewiring, and
-personalized PageRank densification.
+The heuristics are the practical alternative, each step one array pass over its
+candidates: greedy single-toggle ascent (exact conductance scored the same batched
+way, lambda2 by one stacked `eigh` per block, where a bridge search skips the
+toggles that disconnect; past the exact and dense limits one evaluation per
+toggle), curvature/resistance rewiring (one argmax over
+the non-edges, one bridge search for the removals), and personalized PageRank
+densification (one partition and one sort over the scores).
 """
 
 from __future__ import annotations
@@ -226,11 +230,12 @@ def _propagation_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray, toggles: n
 
 def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> np.ndarray | None:
     """Per propagation matrix and its float signed mu2, the int64 vector
-    `sturm._proves_above` takes: 2^20 y / max|y| rounded, where y is (D+I)^(-1/2) times
-    the eigenvector of mu2; None when the solve is singular.  The eigenvector is one step
-    of inverse iteration from a fixed generic vector, shifted 2^-40 off mu2: one LU
-    solve per matrix, on one BLAS thread, where `eigh` costs 4-8 times as much at
-    n = 32-48 and keeps a second OpenBLAS thread spinning.
+    `sturm._proves_above` takes: 2^k y / max|y| rounded, where y is (D+I)^(-1/2) times
+    the eigenvector of mu2, and k = (62 - 2 bit_length(n - 1)) // 2 (k = 28 at n = 8,
+    25 at n = 64) keeps every sum of the kernel within 2^62; None when the solve is
+    singular.  The eigenvector is one step of inverse iteration from a fixed generic
+    vector, shifted 2^-40 off mu2: one LU solve per matrix, on one BLAS thread, where
+    `eigh` costs 4-8 times as much at n = 32-48 and keeps a second OpenBLAS thread spinning.
     """
     n = mats.shape[-1]
     shifted = mats - (mu2 + 2.0**-40)[:, None, None] * np.eye(n)
@@ -239,7 +244,8 @@ def _eigenvector_hints(mats: np.ndarray, mu2: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:  # a shift on an eigenvalue after all: exact_mu2_leq decides
         return None
     y *= np.sqrt(np.diagonal(mats, axis1=1, axis2=2))
-    return np.rint(y * (2.0**20 / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64)
+    scale = 2.0 ** ((62 - 2 * (n - 1).bit_length()) // 2)
+    return np.rint(y * (scale / np.abs(y).max(axis=1, keepdims=True))).astype(np.int64)
 
 
 def decide_gros(
@@ -325,6 +331,52 @@ def _best_conductance_toggle(g: Graph) -> tuple[tuple[int, int], Fraction]:
     return (int(u[i]), int(v[i])), Fraction(int(phi.num[i]), int(phi.den[i]))
 
 
+def _best_spectral_toggle(g: Graph) -> tuple[tuple[int, int] | None, float | None]:
+    """The first pair in pair order whose toggle gives g its greatest lambda2, and that
+    lambda2, or (None, None) when no toggle is scored.
+
+    A toggle that isolates a vertex (removes an edge at a degree-1 end) is skipped, as
+    is one that leaves the graph disconnected, whose lambda2 `spectral_summary` reads
+    as 0 and which so never improves: from a connected g only a bridge removal
+    disconnects, and from a disconnected one only an addition joining its two
+    components connects.  Every other toggle's normalized Laplacian is built as
+    `matrix_of` builds it (-(s_u s_v) on edges, +0.0 off them, 1.0 on the diagonal,
+    s = 1/sqrt(d)), and lambda2 is read from one stacked `eigh` per block of at most
+    _BLOCK_ENTRIES float64 entries, which gives the bits of one `eigh` per matrix
+    (a stacked `eigvalsh` does not).
+    """
+    n = g.n
+    u, v = np.triu_indices(n, 1)
+    adj = matrix_of(g, "adjacency", dense_limit=n)
+    deg = np.array(g.degrees)
+    present = adj[u, v] == 1.0
+    keep = ~(present & ((deg[u] == 1) | (deg[v] == 1)))
+    comps = g.connected_components()
+    if len(comps) == 1:
+        keep &= np.array([p not in g.bridges for p in zip(u.tolist(), v.tolist())], bool)
+    else:
+        last = np.isin(np.arange(n), comps[-1])
+        keep &= ~present & (last[u] != last[v]) & (len(comps) == 2)
+    scored = np.flatnonzero(keep)
+    if not len(scored):
+        return None, None
+    lambda2 = np.empty(len(scored))
+    rows = max(1, _BLOCK_ENTRIES // (n * n))
+    for lo in range(0, len(scored), rows):
+        at = scored[lo : lo + rows]
+        i, j, r = u[at], v[at], np.arange(len(at))
+        stack = np.repeat(adj[None], len(at), axis=0)
+        stack[r, i, j] = stack[r, j, i] = 1.0 - stack[r, i, j]
+        s = 1.0 / np.sqrt(np.einsum("rij->ri", stack))  # exact degrees: sums of 0/1
+        stack *= s[:, :, None]
+        stack *= s[:, None, :]
+        np.subtract(0.0, stack, out=stack)  # 0 - x, not -x: zeros stay +0.0
+        stack.reshape(len(at), -1)[:, :: n + 1] = 1.0
+        lambda2[lo : lo + len(at)] = np.linalg.eigh(stack)[0][:, 1]
+    best = int(lambda2.argmax())  # argmax: the first of equal maxima
+    return (int(u[scored[best]]), int(v[scored[best]])), float(lambda2[best])
+
+
 def greedy_rewire(
     g: Graph,
     budget: int,
@@ -336,6 +388,9 @@ def greedy_rewire(
     Stops as soon as no toggle strictly improves the objective (ties do not
     count as improvement).  The trace holds the objective value after each
     accepted step, starting with the initial value; it is strictly increasing.
+    Each step scores every toggle in one batch: `_best_conductance_toggle` up to
+    `exact_limit`, `_best_spectral_toggle` up to DENSE_LIMIT; past them, one
+    objective evaluation per toggle.
     """
     if objective not in ("spectral_gap", "conductance"):
         raise ValueError(f"objective must be 'spectral_gap' or 'conductance', got {objective!r}")
@@ -349,6 +404,8 @@ def greedy_rewire(
     for _ in range(budget):
         if objective == "conductance" and cur.n <= exact_limit:
             best_pair, best_val = _best_conductance_toggle(cur)
+        elif objective == "spectral_gap" and cur.n <= DENSE_LIMIT:
+            best_pair, best_val = _best_spectral_toggle(cur)
         else:
             best_pair = best_val = None
             for pair in _all_pairs(cur.n):
@@ -434,7 +491,10 @@ def sdrf_like_rewire(
     evenly.  Additions take the non-edge pair of maximal effective resistance
     (cross-component pairs count as infinite); removals take the most negative
     Forman curvature edge whose removal does not disconnect anything, and are
-    skipped when no such edge exists.  Ties break lexicographically.
+    skipped when no such edge exists.  Ties break lexicographically.  Each step is
+    one array pass: an addition is the first maximum of the rounded resistances
+    over the non-edges in lex order, a removal the first non-bridge edge in
+    (curvature, edge) order, with every edge's triangles counted at once.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -445,30 +505,32 @@ def sdrf_like_rewire(
     trace = []
     for step in range(budget):
         want_removals = math.floor((step + 1) * removal_fraction + 1e-12)
+        adj = matrix_of(cur, "adjacency", dense_limit=cur.n)
         if removals_done < want_removals:
-            ranked = sorted(cur.sorted_edges, key=lambda e: (forman_curvature(cur, e), e))
-            n_comps = len(cur.connected_components())
-            chosen = None
-            for edge in ranked:
-                cand = Graph(n=cur.n, edges=cur.edges - {edge})
-                if len(cand.connected_components()) == n_comps:
-                    chosen = edge
-                    break
-            if chosen is None:
+            # only a bridge disconnects, so the choice is the first non-bridge edge
+            a, b = np.array([e for e in cur.sorted_edges if e not in cur.bridges], np.intp).reshape(-1, 2).T
+            if not len(a):
                 trace.append(("skip_removal", None, None))
             else:
+                deg = np.array(cur.degrees)
+                triangles = np.einsum("ij,ij->i", adj[a], adj[b]).astype(np.int64)
+                k = int((4 - deg[a] - deg[b] + 3 * triangles).argmin())  # the first, lex-least, of ties
+                chosen = (int(a[k]), int(b[k]))
                 trace.append(("remove", chosen, float(forman_curvature(cur, chosen))))
                 cur = Graph(n=cur.n, edges=cur.edges - {chosen})
             removals_done += 1  # a removal slot is consumed even when skipped
         else:
-            non_edges = [p for p in _all_pairs(cur.n) if p not in cur.edges]
-            if not non_edges:
+            u, v = np.triu_indices(cur.n, 1)
+            absent = adj[u, v] == 0.0
+            if not absent.any():
                 trace.append(("skip_addition", None, None))
                 continue
-            res = resistance_matrix(cur)
-            # round so symmetric pairs tie exactly and lexicographic order decides
-            best_pair = min(non_edges, key=lambda p: (-round(res[p[0], p[1]], 9), p))
-            trace.append(("add", best_pair, float(res[best_pair[0], best_pair[1]])))
+            u, v = u[absent], v[absent]  # the non-edges in lex order
+            res = resistance_matrix(cur)[u, v]
+            # round so symmetric pairs tie exactly; argmax takes the first, lex-least, maximum
+            best = int(np.argmax(np.round(res, 9)))
+            best_pair = (int(u[best]), int(v[best]))
+            trace.append(("add", best_pair, float(res[best])))
             cur = Graph(n=cur.n, edges=cur.edges | {best_pair})
     return edit_set_between(g, cur), trace
 
@@ -505,7 +567,10 @@ def ppr_rewire(
 
     Computes Pi = alpha (I - (1-alpha) T)^{-1} with the augmented random-walk
     matrix T, keeps each node's top `per_node_cap` off-diagonal scores above
-    `epsilon`, symmetrizes the kept set and emits additions only.
+    `epsilon`, symmetrizes the kept set and emits additions only.  The trace lists
+    the kept scores by source, then score descending, then target.  One in-place
+    partition finds each row's cap-th largest score, and one sort orders the
+    scores at or above it, so one n x n float array is held beside Pi.
     """
     if not epsilon >= 0.0:  # nan too
         raise ValueError(f"sparsification threshold must be >= 0, got {epsilon}")
@@ -513,16 +578,20 @@ def ppr_rewire(
         raise ValueError(f"per-node cap must be >= 0, got {per_node_cap}")
     n = g.n
     pi = ppr_matrix(g, alpha)
-    kept: set[tuple[int, int]] = set()
-    trace = []
-    for v in range(n):
-        row = pi[v]
-        js = np.flatnonzero(row > epsilon)
-        js = js[js != v]
-        # score descending, then target ascending
-        for j in js[np.lexsort((js, -row[js]))[:per_node_cap]].tolist():
-            kept.add(canonical_pair(v, j))
-            trace.append((v, j, float(row[j])))
+    scored = pi > epsilon
+    np.fill_diagonal(scored, False)
+    if 0 < per_node_cap < n:
+        least = np.where(scored, pi, -np.inf)
+        least.partition(n - per_node_cap, axis=1)
+        scored &= pi >= least[:, n - per_node_cap, None]  # ties at the cap-th score stay
+    rows, cols = np.nonzero(scored)
+    scores = pi[rows, cols]
+    order = np.lexsort((cols, -scores, rows))  # by source, score descending, then target
+    rows, cols, scores = rows[order], cols[order], scores[order]
+    firsts = np.searchsorted(rows, rows)  # each entry's first index in its row
+    top = np.arange(len(rows)) - firsts < per_node_cap
+    trace = list(zip(rows[top].tolist(), cols[top].tolist(), scores[top].tolist()))
+    kept = {(v, j) if v < j else (j, v) for v, j, _ in trace}
     additions = frozenset(p for p in kept if p not in g.edges)
     return EditSet(additions=additions, removals=frozenset()), trace
 

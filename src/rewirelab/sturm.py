@@ -246,8 +246,9 @@ def _proves_above(adj: np.ndarray, x: np.ndarray, tau: Fraction) -> np.ndarray:
     (q - p)(sum (d'_i + 1) x_i)^2.  The absolute mu2 is at least the signed one, so the
     proof holds in both modes.  The block's sums are int64, from (A'+I)x and d' by
     `einsum`; with |x_i| <= b none exceeds n^2 b^2, so they are exact while
-    n^2 b^2 < 2^63 (for 2^20 hints, n <= 2896), and a row past that bound is left
-    unproved, never wrapped.  The inequality is finished in Python ints.
+    n^2 b^2 < 2^63 (the hints of `decide_gros` keep it at most 2^62 at every n), and a
+    row past that bound is left unproved, never wrapped.  The inequality is finished in
+    Python ints.
     """
     p, q = tau.numerator, tau.denominator
     bound = isqrt((_INT64_RANGE - 1) // x.shape[1] ** 2)

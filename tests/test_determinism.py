@@ -1,7 +1,8 @@
 """Determinism of the command line across processes: each case runs
 `python -m rewirelab.cli` (or a demo) in fresh subprocesses and compares stdout and
-exit code byte for byte across PYTHONHASHSEED 1 and 2, and for `decide gros` also
-across one OpenBLAS thread and the default count (the machine's cores)."""
+exit code byte for byte across PYTHONHASHSEED 1 and 2, and for `decide gros`,
+`rewire greedy` and `rewire sdrf` also across one OpenBLAS thread and the default
+count (the machine's cores)."""
 
 from __future__ import annotations
 
@@ -164,3 +165,32 @@ def test_tie_heavy_cuts_identical_across_hash_seeds(tie_files, name):
         out = _run(args, 1)
         assert out == _run(args, 2)
         assert out[1] == code, phi0
+
+
+@pytest.fixture(scope="module")
+def rewire_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("rewire")
+    return _gen(tmp / "gnp-40.txt", "gnp", 40, 0.2, "--seed", 7), _gen(tmp / "gnp-120.txt", "gnp", 120, 0.05, "--seed", 7)
+
+
+@pytest.mark.parametrize("heuristic", ["greedy", "sdrf"])
+def test_rewire_identical_across_blas_threads_and_hash_seeds(rewire_files, heuristic):
+    # greedy scores its toggles with stacked dense eigh calls, sdrf with resistances from pinv
+    gnp40, gnp120 = rewire_files
+    args = _cli("rewire", "greedy", gnp40, 2) if heuristic == "greedy" else \
+        _cli("rewire", "sdrf", gnp120, 8, "--removal-fraction", 0.25)
+    one = _run(args, 1, blas_threads=1)
+    default = _run(args, 2)
+    assert one == default
+    assert one[1] == EXIT_YES
+    report = json.loads(one[0])
+    assert report["edits"]["add"] and (heuristic == "greedy" or report["edits"]["remove"])
+
+
+def test_rewire_ppr_identical_across_hash_seeds(rewire_files):
+    # across BLAS thread counts the trace scores, from one dense PPR solve at n = 120,
+    # differ in their last bits
+    args = _cli("rewire", "ppr", rewire_files[1], 10)
+    out = _run(args, 1)
+    assert out == _run(args, 2)
+    assert out[1] == EXIT_YES and json.loads(out[0])["edits"]["add"]

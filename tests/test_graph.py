@@ -266,3 +266,36 @@ def test_serialize_canonical_form():
     g1 = build_graph(3, [(2, 1), (0, 2)])
     g2 = build_graph(3, [(0, 2), (1, 2)])
     assert serialize_graph(g1) == serialize_graph(g2) == "3 2\n0 2\n1 2\n"
+
+
+def _bridges_by_removal(g: Graph) -> frozenset:
+    """The edges whose removal raises the component count, one removal at a time."""
+    comps = len(g.connected_components())
+    return frozenset(e for e in g.edges if len(Graph(n=g.n, edges=g.edges - {e}).connected_components()) > comps)
+
+
+def test_bridges_match_removal_by_removal():
+    rng = random.Random(2901)
+    graphs = [build_graph(1, []), build_graph(2, [(0, 1)]), build_graph(5, []), cycle_graph(6), complete_graph(5),
+              generate("barbell", [4])]
+    for _ in range(300):
+        n = rng.randrange(2, 30)
+        # several components and isolated vertices: a sparse G(n, p) on part of the vertices
+        part = rng.randrange(1, n + 1)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4)) * rng.random() * 3
+        graphs.append(build_graph(n, [(u, v) for u in range(part) for v in range(u + 1, part) if rng.random() < p]))
+    bridged = 0
+    for g in graphs:
+        assert g.bridges == _bridges_by_removal(g), sorted(g.edges)
+        bridged += bool(g.bridges) and len(g.connected_components()) > 1
+    assert bridged > 100
+
+
+def test_bridges_of_a_long_path_need_no_recursion():
+    n = 10_000
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert path.bridges == path.edges
+    cycle = cycle_graph(n)
+    assert cycle.bridges == frozenset()
+    tail = Graph(n=n + 1, edges=cycle.edges | {(0, n)})
+    assert tail.bridges == {(0, n)}

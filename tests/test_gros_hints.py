@@ -1,8 +1,9 @@
 """The proof hints and the block "no" proof of `decide_gros`, against the solver they
 replaced (`gros_reference.decide_gros_chunked`).  That solver solved its hints at scale
 2^40 in doubling chunks and proved "no" one candidate at a time, with `_certifies_above`
-over Python ints; `decide_gros` solves them at scale 2^20 in one solve per span of a
-block and proves "no" for the whole span with the int64 kernel `sturm._proves_above`.
+over Python ints; `decide_gros` solves them at scale 2^k (2^28 at n = 8, 2^25 at n = 64)
+in one solve per span of a block and proves "no" for the whole span with the int64
+kernel `sturm._proves_above`.
 
 The hints are LAPACK solves of n x n matrices, n <= 64, at the OpenBLAS thread count of
 the test process.  The tier-1 run sets no OPENBLAS_NUM_THREADS, in CI as elsewhere, so
@@ -38,6 +39,11 @@ def _recorded(monkeypatch, module):
     return calls
 
 
+def _hint_bits(n: int) -> int:
+    """k of the 2^k scale of `decide_gros`' hints at n vertices."""
+    return (62 - 2 * (n - 1).bit_length()) // 2
+
+
 def _corpus():
     rng = random.Random(2201)
     cases = []
@@ -53,7 +59,7 @@ def _corpus():
 
 def test_one_hint_solve_per_block_gives_the_chunked_hints(monkeypatch):
     # one solve per span, and so per block while every row whose float mu2 is at most tau
-    # is a witness; the same vectors as the chunks', at scale 2^20 for 2^40
+    # is a witness; the same vectors as the chunks', at scale 2^k for 2^40
     new, old = _recorded(monkeypatch, rewiring), _recorded(monkeypatch, gros_reference)
     rows_compared = 0
     for g, k in _corpus():
@@ -68,8 +74,9 @@ def test_one_hint_solve_per_block_gives_the_chunked_hints(monkeypatch):
             got, want = decide_gros(inst), gros_reference.decide_gros_chunked(inst)
             assert got == want and got.value_achieved.hex() == want.value_achieved.hex(), (g, k, tau)
             got_hints, want_hints = sum(new, []), sum(old, [])
-            for a, b in zip(got_hints, want_hints):  # rint(z) and rint(2^20 z); None where singular
-                assert a is None or b is None or max(abs((x << 20) - y) for x, y in zip(a, b)) <= 1 << 19, (g, k, tau)
+            shift = 40 - _hint_bits(g.n)
+            for a, b in zip(got_hints, want_hints):  # rint(2^k z) and rint(2^40 z); None where singular
+                assert a is None or b is None or max(abs((x << shift) - y) for x, y in zip(a, b)) <= 1 << (shift - 1), (g, k, tau)
             # the chunks run past the witness to their end, the spans to the witness's span
             if got.answer == "no":
                 assert len(got_hints) == len(want_hints)
@@ -155,7 +162,7 @@ def test_one_hint_call_per_block_up_to_the_witness(monkeypatch, n, k, tau, mode)
 
 def _near_threshold():
     """K = 0 at tau = mu2 - 1e-6 and mu2 - 1e-7 on 3-regular graphs, n = 16-64, 20 seeds
-    each: 200 decisions the kernel must prove "no" from 2^20 hints."""
+    each: 200 decisions the kernel must prove "no" from 2^k hints."""
     cases = []
     for n in (16, 24, 32, 48, 64):
         for seed in range(20):
@@ -179,7 +186,7 @@ def _small_blocks():
 
 
 def test_block_proof_matches_the_per_candidate_proof():
-    # on every row above tau, the kernel on 2^20 hints proves what _certifies_above proves
+    # on every row above tau, the kernel on 2^k hints proves what _certifies_above proves
     # on the same hints and on the 2^40 hints it had
     proved = rows_checked = 0
     near = _near_threshold()
@@ -193,10 +200,10 @@ def test_block_proof_matches_the_per_candidate_proof():
         above = np.flatnonzero(signed > float(tau))
         if not len(above):
             continue
-        x20 = rewiring._eigenvector_hints(stack[above], signed[above])
+        xk = rewiring._eigenvector_hints(stack[above], signed[above])
         x40 = gros_reference._eigenvector_hints(stack[above], signed[above])
-        got = sturm._proves_above(flips[above], x20, tau).tolist()
-        for r, a, b, ok in zip(above.tolist(), x20.tolist(), x40, got):
+        got = sturm._proves_above(flips[above], xk, tau).tolist()
+        for r, a, b, ok in zip(above.tolist(), xk.tolist(), x40, got):
             h = Graph(n=n, edges=g.edges ^ {pairs[t] for t in toggles[r].tolist() if t < len(pairs)})
             assert ok == gros_reference._certifies_above(h, tau, a) == gros_reference._certifies_above(h, tau, b)
             proved += ok
@@ -254,3 +261,23 @@ def test_rows_past_the_int64_bound_keep_the_decisions(monkeypatch):
     _same_decisions(cases, gros_reference.decide_gros)
     assert len(proofs) > 3_000 and not any(proofs)
     assert len(exact) > len(proofs)
+
+
+def test_hints_scaled_from_n_leave_open_only_what_2_40_hints_leave_open(monkeypatch):
+    # tau exactly at the least float mu2: rows whose mu2 lies within about 1e-12 of tau
+    # need fine hints, and hints scaled to 2^k leave open, per decision, as many rows
+    # for exact_mu2_leq as the per-candidate proof on 2^40 hints
+    rng = random.Random(2903)
+    cases = []
+    for _ in range(60):
+        n = rng.randrange(6, 17)
+        g = make_gnp(rng, n, rng.uniform(0.3, 0.7))
+        k = 2 if n <= 8 else 1 if n <= 12 else 0
+        cases.append(GrosInstance(g, k, Fraction(decide_gros(GrosInstance(g, k, 1)).value_achieved)))
+    new, old = _counted(monkeypatch, sturm), _counted(monkeypatch, gros_reference)
+    for inst in cases:
+        new.clear()
+        old.clear()
+        got, want = decide_gros(inst), gros_reference.decide_gros_chunked(inst)
+        assert got == want and got.value_achieved.hex() == want.value_achieved.hex(), inst
+        assert len(new) == len(old), (inst, len(new), len(old))

@@ -278,15 +278,25 @@ def _ppr_rewire_by_pairs(g, alpha, epsilon, cap):
 @pytest.mark.parametrize("seed", range(4))
 def test_ppr_rewire_matches_pairwise_selection(seed):
     rng = random.Random(59 + seed)
-    # cycles and 2 x K4 tie scores exactly, so the target tie-break decides
+    short_rows = cut_ties = 0
+    # cycles and 2 x K4 tie scores exactly, so the target tie-break decides; caps 1 and 2 cut
+    # through ties, caps n - 1 and up keep every score above epsilon, and at epsilon 0.05 many
+    # rows have fewer scores above it than the cap
     for g in (cycle_graph(9 + seed), make_gnp(rng, 30, 0.15), make_connected(rng, 25),
               build_graph(8, [(u, v) for c in (0, 4) for u in range(c, c + 4) for v in range(u + 1, c + 4)])):
-        for cap in (0, 1, 3):
-            edits, trace = ppr_rewire(g, 0.15, 1e-4, cap)
-            additions, expected = _ppr_rewire_by_pairs(g, 0.15, 1e-4, cap)
-            assert edits.additions == additions and not edits.removals
-            assert trace == expected
-            assert all(type(v) is int and type(j) is int and type(s) is float for v, j, s in trace)
+        pi = ppr_matrix(g, 0.15)
+        for epsilon in (0.0, 1e-4, 0.05):
+            for cap in (0, 1, 2, 3, g.n - 1, g.n, g.n + 5):
+                edits, trace = ppr_rewire(g, 0.15, epsilon, cap)
+                additions, expected = _ppr_rewire_by_pairs(g, 0.15, epsilon, cap)
+                assert edits.additions == additions and not edits.removals
+                assert trace == expected
+                assert all(type(v) is int and type(j) is int and type(s) is float for v, j, s in trace)
+                for v in range(g.n):
+                    scores = sorted((pi[v, j] for j in range(g.n) if j != v and pi[v, j] > epsilon), reverse=True)
+                    short_rows += len(scores) < cap
+                    cut_ties += 0 < cap < len(scores) and scores[cap - 1] == scores[cap]
+    assert short_rows > 0 and cut_ties > 0
 
 
 def test_exact_mu2_reexport_consistency():
