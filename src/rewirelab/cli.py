@@ -164,15 +164,17 @@ def _metrics(g: Graph, exact_limit: int) -> dict:
     from .cuts import cheeger_consistent, cheeger_interval, conductance_exact
     from .spectral import spectral_summary
 
-    out: dict = {"n": g.n, "m": g.m, "connected": g.is_connected()}
+    out: dict = {"n": g.n, "m": g.m}
     try:
         summary = spectral_summary(g)
+        out["connected"] = summary.connected
         out["lambda2"] = summary.lambda2
         out["mu2"] = summary.mu2
         out["mu_min"] = summary.mu_min
         lo, hi = cheeger_interval(summary)
         out["cheeger_interval"] = [lo, hi]
-    except RewireLabError as exc:
+    except RewireLabError as exc:  # an isolated vertex, say: walk the graph instead
+        out["connected"] = g.is_connected()
         out["spectral_error"] = str(exc)
     if 2 <= g.n <= exact_limit:
         cut = conductance_exact(g, exact_limit=exact_limit)

@@ -5,7 +5,11 @@ Cheeger's inequality speaks about); mu2/mu_min refer to the propagation matrix,
 self-loop augmented by default.  Small graphs get a full symmetric
 eigendecomposition; large ones a deflated Lanczos iteration from a fixed start
 vector, so repeated calls agree bit for bit, with an explicitly computed
-residual bound.  scipy is imported only on the Lanczos path.
+residual bound.  scipy is imported only on the Lanczos path, which reads
+connectivity from its CSR matrix.  There, on a d-regular graph, the mu2 solve
+starts from lambda2's Ritz vector: P = (d N + I) / (d + 1) shares its
+eigenvectors with N = D^{-1/2} A D^{-1/2}, in the same order.  Elsewhere N's
+second eigenvector may be orthogonal to P's, so mu2 keeps the fixed start.
 """
 
 from __future__ import annotations
@@ -93,20 +97,23 @@ def _one_scipy_blas_thread():
         lib.scipy_openblas_set_num_threads(count)
 
 
-def _eigsh_extreme(op, which: str):
-    """One extreme eigenpair by ARPACK at tolerance 1e-10 within 50 n iterations."""
+def _eigsh_extreme(op, which: str, v0: np.ndarray | None = None):
+    """One extreme eigenpair by ARPACK at tolerance 1e-10 within 50 n iterations,
+    started from v0, or from the fixed start vector when v0 is None."""
     import scipy.sparse.linalg as spla
 
     n = op.shape[0]
+    start = _lanczos_start(n) if v0 is None else v0
     with _one_scipy_blas_thread():
-        return spla.eigsh(op, k=1, which=which, tol=1e-10, maxiter=50 * n, v0=_lanczos_start(n))
+        return spla.eigsh(op, k=1, which=which, tol=1e-10, maxiter=50 * n, v0=start)
 
 
-def _second_largest_iterative(mat, top_vec: np.ndarray):
+def _second_largest_iterative(mat, top_vec: np.ndarray, v0: np.ndarray | None = None):
     """Largest eigenpair after deflating the known top eigenvector (eigenvalue 1).
 
     Shifting the top eigenvalue to -2 keeps everything else in [-1, 1], so the
     Lanczos extreme is the second-largest eigenvalue of the original operator.
+    Returns the eigenvalue, its residual and the unit Ritz vector.
     """
     import scipy.sparse.linalg as spla
 
@@ -116,13 +123,13 @@ def _second_largest_iterative(mat, top_vec: np.ndarray):
         return mat @ x - 3.0 * np.dot(top_vec, x) * top_vec
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    vals, vecs = _eigsh_extreme(op, "LA")
+    vals, vecs = _eigsh_extreme(op, "LA", v0)
     theta = float(vals[0])
     x = vecs[:, 0]
     x = x - np.dot(top_vec, x) * top_vec
     x /= np.linalg.norm(x)
     residual = float(np.linalg.norm(mat @ x - theta * x))
-    return theta, residual
+    return theta, residual, x
 
 
 def spectral_summary(g: Graph, augmented: bool = True) -> SpectralSummary:
@@ -138,13 +145,13 @@ def spectral_summary(g: Graph, augmented: bool = True) -> SpectralSummary:
     if n > 1 and min(g.degrees) == 0:
         bad = g.degrees.index(0)
         raise IsolatedVertex(f"vertex {bad} has degree 0; spectral summary undefined")
-    connected = g.is_connected()
 
     if n == 1:
         # Single vertex: P = [1]; mu2 is undefined, reported as the sole eigenvalue.
         return SpectralSummary(0.0, 1.0, 1.0, 1.0, "dense_exact", 0.0, True)
 
     if n <= DENSE_LIMIT:
+        connected = g.is_connected()
         lap = matrix_of(g, "normalized_laplacian", dense_limit=DENSE_LIMIT)
         prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=DENSE_LIMIT)
         wl, vl = np.linalg.eigh(lap)
@@ -161,19 +168,24 @@ def spectral_summary(g: Graph, augmented: bool = True) -> SpectralSummary:
 
     # Iterative path: D^{-1/2} A D^{-1/2} is the plain propagation matrix.
     import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components
 
     deg = np.array(g.degrees, dtype=np.float64)
-    d_eff = deg + 1.0 if augmented else deg
     norm_adj = matrix_of(g, "propagation", augmented=False, dense_limit=DENSE_LIMIT)
-    prop = matrix_of(g, "propagation", augmented=augmented, dense_limit=DENSE_LIMIT)
+    prop = matrix_of(g, "propagation", dense_limit=DENSE_LIMIT) if augmented else norm_adj
+    connected = connected_components(norm_adj, directed=False, return_labels=False) == 1
 
     try:
         residuals = []
         if connected:
             # lambda2 = 1 - (second largest eigenvalue of D^{-1/2} A D^{-1/2})
-            theta, r1 = _second_largest_iterative(norm_adj, _top_eigvec_normalized_adjacency(deg))
+            theta, r1, x = _second_largest_iterative(norm_adj, _top_eigvec_normalized_adjacency(deg))
             lambda2 = 1.0 - theta
-            mu2, r2 = _second_largest_iterative(prop, _top_eigvec_normalized_adjacency(d_eff))
+            if augmented:
+                v0 = x if deg.min() == deg.max() else None  # regular: N and P share eigenvectors
+                mu2, r2, _ = _second_largest_iterative(prop, _top_eigvec_normalized_adjacency(deg + 1.0), v0)
+            else:
+                mu2, r2 = theta, r1  # prop is norm_adj: the same solve
             residuals += [r1, r2]
         else:
             lambda2 = 0.0

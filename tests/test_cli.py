@@ -121,6 +121,43 @@ def test_analyze_isolated_vertex_text_and_csv(tmp_path, capsys):
     assert out == "n,m,connected,lambda2,mu2,mu_min,phi,cheeger_verdict\n3,1,False,,,,0.0,\n"
 
 
+def _analyze_json_walking_the_graph(g):
+    """analyze's JSON for a graph above the exact limits, built as before `connected`
+    came from the spectral summary: a graph walk, then the summary."""
+    from rewirelab.cuts import cheeger_interval
+    from rewirelab.spectral import spectral_summary
+
+    out = {"n": g.n, "m": g.m, "connected": g.is_connected()}
+    try:
+        s = spectral_summary(g)
+        out.update(lambda2=s.lambda2, mu2=s.mu2, mu_min=s.mu_min, cheeger_interval=list(cheeger_interval(s)))
+    except RewireLabError as exc:
+        out["spectral_error"] = str(exc)
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(("name", "walks"), [("regular600", 0), ("two-cycles300", 0), ("cycle599-isolated", 1)])
+def test_analyze_reads_connected_from_the_summary(tmp_path, capsys, monkeypatch, name, walks):
+    from rewirelab import Graph, random_regular_graph
+
+    def cycle(base, k):
+        return [(base + i, base + (i + 1) % k) for i in range(k)]
+
+    g = {
+        "regular600": lambda: random_regular_graph(600, 3, seed=1),
+        "two-cycles300": lambda: build_graph(600, cycle(0, 300) + cycle(300, 300)),
+        "cycle599-isolated": lambda: build_graph(600, cycle(0, 599)),  # vertex 599 has degree 0
+    }[name]()
+    path = write_graph(tmp_path, "g.txt", serialize_graph(g))
+    expected = _analyze_json_walking_the_graph(build_graph(g.n, g.edges))
+    seen = []
+    components = Graph.connected_components
+    monkeypatch.setattr(Graph, "connected_components", lambda self: seen.append(self.n) or components(self))
+    code, out, _ = run(capsys, "--format", "json", "analyze", path)
+    assert code == 0
+    assert out == expected
+    assert len(seen) == walks  # above 512 vertices the summary reads connectivity without a walk
+
 def test_analyze_malformed_exit_2(tmp_path, capsys):
     path = write_graph(tmp_path, "bad.txt", "2 1\n0 2\n")
     code, _, err = run(capsys, "analyze", path)

@@ -1,8 +1,8 @@
 """Determinism of the command line across processes: each case runs
 `python -m rewirelab.cli` (or a demo) in fresh subprocesses and compares stdout and
 exit code byte for byte across PYTHONHASHSEED 1 and 2, and for `decide gros`,
-`rewire greedy` and `rewire sdrf` also across one OpenBLAS thread and the default
-count (the machine's cores)."""
+`rewire greedy`, `rewire sdrf` and `analyze` on the Lanczos path also across one
+OpenBLAS thread and the default count (the machine's cores)."""
 
 from __future__ import annotations
 
@@ -180,8 +180,7 @@ def test_rewire_identical_across_blas_threads_and_hash_seeds(rewire_files, heuri
     args = _cli("rewire", "greedy", gnp40, 2) if heuristic == "greedy" else \
         _cli("rewire", "sdrf", gnp120, 8, "--removal-fraction", 0.25)
     one = _run(args, 1, blas_threads=1)
-    default = _run(args, 2)
-    assert one == default
+    assert one == _run(args, 2, blas_threads=1) == _run(args, 2)
     assert one[1] == EXIT_YES
     report = json.loads(one[0])
     assert report["edits"]["add"] and (heuristic == "greedy" or report["edits"]["remove"])
@@ -194,3 +193,14 @@ def test_rewire_ppr_identical_across_hash_seeds(rewire_files):
     out = _run(args, 1)
     assert out == _run(args, 2)
     assert out[1] == EXIT_YES and json.loads(out[0])["edits"]["add"]
+
+
+def test_lanczos_analyze_identical_across_blas_threads_and_hash_seeds(tmp_path):
+    # 3-regular n = 1500: the Lanczos path, with mu2 started from lambda2's eigenvector
+    graph = _gen(tmp_path / "reg-1500.txt", "random_regular", 1500, 3, "--seed", 4)
+    args = _cli("analyze", graph, "--format", "json")
+    one = _run(args, 1, blas_threads=1)
+    assert one == _run(args, 2, blas_threads=1) == _run(args, 2)
+    assert one[1] == EXIT_YES
+    report = json.loads(one[0])
+    assert report["connected"] is True and 0 < report["lambda2"] < 1
